@@ -28,6 +28,7 @@ from .compiler import (
 from .counts import CountsDataset, evaluate_witness_counts, simulate_counts
 from .linalg import DenseOperator, identity, op_power
 from .optimize import (
+    PPT_MAX_QUBITS,
     OptimizationError,
     PptProblem,
     SolverConfig,
@@ -130,6 +131,8 @@ def _noisy_state(witness: WitnessSpec, noise: NoiseModel, p: float) -> DenseOper
 
 def _ppt_objective(args: argparse.Namespace) -> DenseOperator:
     n = args.n
+    if n > PPT_MAX_QUBITS:
+        raise ValueError(f"--n {n}: PPT objectives are limited to {PPT_MAX_QUBITS} qubits")
     m = op_power(collective_j(n, "x"), 2) + op_power(collective_j(n, "y"), 2)
     if args.q:
         if args.m is None:

@@ -27,7 +27,6 @@ from .symmetric import is_permutation_invariant, symmetrize
 
 _ZERO_SNAP = 1e-12
 _MERGE_ATOL = 1e-12
-_SETTING_MATCH_ATOL = 1e-6
 
 _AXES = ("x", "y", "z")
 _AXIS_VEC = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}

@@ -8,12 +8,16 @@ feasibility repair (shifting along the identity) turns the relaxed iterate
 into a certified witness, so the gap between the two sides bounds the model
 error.  ``max_ppt`` maximizes a Hermitian objective over density matrices
 whose partial transpose across a given bipartition stays positive, using a
-log-barrier interior-point method; when the objective is permutation
-invariant the state variable is restricted (without loss of generality, by a
-twirling argument) to the span of symmetrized Pauli products on each part,
-which shrinks the problem from ``4^N`` to polynomially many real unknowns.
-``max_bisep_seesaw`` and ``max_symmetric_product`` provide matching
-product-state lower bounds by alternating eigenvector updates and direct
+log-barrier interior-point method over a block-diagonal state.  When the
+objective is permutation invariant the state is, without loss of generality
+(by a twirling argument), invariant under permutations within each part; in
+the real Schur–Weyl basis of the two parts it is then a direct sum of one
+block per pair of part spins ``(j_A, j_B)``, of size
+``(2 j_A + 1)(2 j_B + 1)``, and the partial transpose keeps every block, so
+at N=6 the largest matrix is 16-square instead of 64-square.  Other
+objectives are one dense block.  ``max_bisep_seesaw`` and
+``max_symmetric_product`` provide matching product-state lower bounds by
+alternating eigenvector updates (all random restarts batched) and direct
 Bloch-sphere search.
 """
 
@@ -28,7 +32,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from .compiler import PauliClass
 from .linalg import (
     DenseOperator,
     StateVector,
@@ -42,6 +45,7 @@ from .symmetric import (
     dicke,
     is_permutation_invariant,
     permute_qubits,
+    spin_blocks,
 )
 from .witnesses import BasisTerm, NoiseModel, WitnessSpec
 
@@ -63,7 +67,11 @@ __all__ = [
     "max_symmetric_product",
     "QScanResult",
     "q_scan",
+    "PPT_MAX_QUBITS",
 ]
+
+# The PPT objectives and the returned states are dense 2^N operators.
+PPT_MAX_QUBITS = 8
 
 
 class OptimizationError(RuntimeError):
@@ -361,8 +369,9 @@ class PptProblem:
     """Maximize ``Tr(M rho)`` over states PPT across one bipartition.
 
     ``bipartition`` lists the qubits (1-based) of one part; the partial
-    transpose acts on that part.  Dense spectra limit the solver to at most
-    8 qubits.
+    transpose acts on that part.  The objective is a dense operator on at
+    most ``PPT_MAX_QUBITS`` qubits; a permutation-invariant one is solved in
+    spin blocks (see :func:`max_ppt`).
     """
 
     objective: DenseOperator
@@ -372,8 +381,8 @@ class PptProblem:
         if not self.objective.is_hermitian(1e-10):
             raise ValueError("PPT objective must be Hermitian")
         n = self.objective.num_qubits
-        if n > 8:
-            raise ValueError("PPT maximization is limited to 8 qubits")
+        if n > PPT_MAX_QUBITS:
+            raise ValueError(f"PPT maximization is limited to {PPT_MAX_QUBITS} qubits")
         part = tuple(sorted(set(int(q) for q in self.bipartition)))
         if not part or len(part) >= n or any(q < 1 or q > n for q in part):
             raise ValueError(f"bipartition {part} is not a proper subset of 1..{n}")
@@ -398,55 +407,52 @@ class BisepResult(NamedTuple):
     bipartition: tuple[int, ...]
 
 
-def _part_classes(part_size: int) -> list[PauliClass]:
-    return [
-        PauliClass(i, j, m)
-        for i in range(part_size + 1)
-        for j in range(part_size - i + 1)
-        for m in range(part_size - i - j + 1)
-    ]
+class _Block(NamedTuple):
+    """One diagonal block ``X_b`` of the state, repeated ``mult`` times.
 
-
-@lru_cache(maxsize=8)
-def _pi_commutant_basis(num_qubits: int, part_size: int):
-    """Hermitian basis of operators invariant under permutations within each part.
-
-    Elements are products (class sum on the first ``part_size`` qubits) x
-    (class sum on the rest); they are mutually orthogonal, and the partial
-    transpose of the first part acts diagonally with sign ``(-1)^j`` where
-    ``j`` counts sigma_y factors in the first-part class.
+    ``objective`` is the ``(dim_a * dim_b)``-square block ``M_b`` of the
+    objective; the partial transpose acts on the leading ``dim_a`` factor.
     """
-    p, q = part_size, num_qubits - part_size
-    a_cls = _part_classes(p)
-    b_cls = _part_classes(q)
-    a_mats = [c.realization(p).mat for c in a_cls]
-    b_mats = [c.realization(q).mat for c in b_cls]
-    elems = np.stack([np.kron(am, bm) for am in a_mats for bm in b_mats])
-    signs = np.array(
-        [(-1.0) ** ca.j for ca in a_cls for _ in b_cls], dtype=float
-    )
-    elems.setflags(write=False)
-    signs.setflags(write=False)
-    return elems, signs
+
+    dim_a: int
+    dim_b: int
+    mult: int
+    objective: np.ndarray
 
 
-@lru_cache(maxsize=4)
-def _hermitian_basis(dim: int):
-    """Orthonormal Hermitian basis of the full matrix space (for small dims)."""
-    elems = np.zeros((dim * dim, dim, dim), dtype=complex)
-    idx = 0
-    for k in range(dim):
-        elems[idx, k, k] = 1.0
-        idx += 1
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            elems[idx, k, l] = inv_sqrt2
-            elems[idx, l, k] = inv_sqrt2
-            idx += 1
-            elems[idx, k, l] = 1j * inv_sqrt2
-            elems[idx, l, k] = -1j * inv_sqrt2
-            idx += 1
+@lru_cache(maxsize=64)
+def _block_basis(dim_a: int, dim_b: int, real: bool):
+    """Flattened orthonormal basis of one block and of its partial transposes.
+
+    The basis spans the Hermitian matrices, or the real symmetric ones when
+    ``real``; coordinates in it are :func:`_herm_coords`.
+    """
+    elems = _hermitian_basis(dim_a * dim_b, real)
+    flat = elems.reshape(len(elems), -1)
+    pt_flat = _batched_pt_front(elems, dim_a).reshape(len(elems), -1)
+    flat.setflags(write=False)
+    pt_flat.setflags(write=False)
+    return flat, pt_flat
+
+
+def _hermitian_basis(dim: int, real: bool) -> np.ndarray:
+    """Orthonormal basis of the Hermitian (or real symmetric) ``dim``-square matrices.
+
+    Diagonal units first, then ``(E_kl + E_lk) / sqrt 2`` and, unless
+    ``real``, ``i (E_kl - E_lk) / sqrt 2`` for ``k < l`` in row-major order.
+    """
+    rows, cols = np.triu_indices(dim, 1)
+    n_off = len(rows)
+    elems = np.zeros((dim + n_off * (1 if real else 2), dim, dim),
+                     dtype=float if real else complex)
+    diag = np.arange(dim)
+    elems[diag, diag, diag] = 1.0
+    sym = dim + np.arange(n_off)
+    elems[sym, rows, cols] = elems[sym, cols, rows] = 1.0 / math.sqrt(2.0)
+    if not real:
+        anti = sym + n_off
+        elems[anti, rows, cols] = 1j / math.sqrt(2.0)
+        elems[anti, cols, rows] = -1j / math.sqrt(2.0)
     elems.setflags(write=False)
     return elems
 
@@ -459,6 +465,20 @@ def _batched_pt_front(elems: np.ndarray, dim_a: int) -> np.ndarray:
     return arr.transpose(0, 3, 2, 1, 4).reshape(nb, dim, dim)
 
 
+def _herm_coords(stack: np.ndarray) -> np.ndarray:
+    """Coordinates of Hermitian matrices in :func:`_hermitian_basis`.
+
+    Real stacks get the real-symmetric coordinates.  For two Hermitian
+    matrices ``Tr(A B) = a . b``.
+    """
+    rows, cols = np.triu_indices(stack.shape[-1], 1)
+    upper = math.sqrt(2.0) * stack[:, rows, cols]
+    parts = [np.real(np.diagonal(stack, axis1=1, axis2=2)), upper.real]
+    if np.iscomplexobj(stack):
+        parts.append(upper.imag)
+    return np.concatenate(parts, axis=1)
+
+
 def _logdet_pd(mat: np.ndarray) -> float | None:
     try:
         chol = np.linalg.cholesky(mat)
@@ -468,107 +488,118 @@ def _logdet_pd(mat: np.ndarray) -> float | None:
 
 
 def _barrier_maximize(
-    m_mat: np.ndarray,
-    elems: np.ndarray,
-    signs: np.ndarray | None,
-    pt_elems: np.ndarray | None,
-    cfg: SolverConfig,
-) -> tuple[np.ndarray, SolverReport]:
-    """Log-barrier interior point for max Tr(M rho), rho and rho^PT both PSD.
+    blocks: list[_Block], cfg: SolverConfig
+) -> tuple[list[np.ndarray], SolverReport]:
+    """Log-barrier interior point for a block-diagonal PPT problem.
 
-    The state is parameterized as ``rho = sum_k x_k E_k`` over the Hermitian
-    basis ``elems``; the partial transpose is either diagonal in that basis
-    (``signs``) or given explicitly (``pt_elems``).  Follows the central path
-    mu = 1, 0.1, ... down to ``cfg.barrier_tol`` with damped Newton steps; the
-    final duality gap is bounded by ``2 * dim * mu``.
+    Maximizes ``sum_b mult_b Tr(M_b X_b)`` subject to
+    ``sum_b mult_b Tr(X_b) = 1`` with every ``X_b`` and its partial transpose
+    ``X_b^T_A`` positive definite, using the barrier
+    ``-sum_b mult_b [log det X_b + log det X_b^T_A]``.  For a state
+    ``rho = V (+)_b (X_b (x) 1_mult_b) V^T`` with a real orthogonal ``V``
+    that keeps the partial transpose inside each block, this is the dense
+    barrier of ``rho`` and ``rho^T_A``, so problem and central path are those
+    of the dense PPT problem.  Each ``X_b`` is parameterized in an orthonormal
+    Hermitian basis, real symmetric when no ``M_b`` has an imaginary part
+    (the central path is then real); the Hessian is block diagonal.  Follows
+    mu = 1, 0.1, ... down to ``cfg.barrier_tol`` with damped Newton steps;
+    the final duality gap is bounded by ``2 * dim * mu`` with
+    ``dim = sum_b mult_b dim_b``.  Returns the blocks ``X_b`` and the report.
     """
-    nb, dim, _ = elems.shape
-    e_flat = elems.reshape(nb, -1)
-    ec = e_flat.conj()
-    m_vec = np.real(ec @ m_mat.ravel())
-    a_vec = np.real(np.trace(elems, axis1=1, axis2=2))
-    if pt_elems is not None:
-        gc = pt_elems.reshape(nb, -1).conj()
+    real = not any(np.any(np.imag(b.objective)) for b in blocks)
+    objectives = [np.real(b.objective) if real else b.objective for b in blocks]
+    bases = [_block_basis(b.dim_a, b.dim_b, real) for b in blocks]
+    bounds = np.cumsum([0] + [len(flat) for flat, _ in bases])
+    slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    dims = [b.dim_a * b.dim_b for b in blocks]
+    mults = [float(b.mult) for b in blocks]
+    dim = sum(b.mult * d for b, d in zip(blocks, dims))
+    nb = int(bounds[-1])
+    m_vec = np.concatenate([
+        mult * _herm_coords(m_b[None])[0] for mult, m_b in zip(mults, objectives)
+    ])
+    units = [_herm_coords(np.eye(d, dtype=float if real else complex)[None])[0] for d in dims]
+    x = np.concatenate(units) / dim  # every X_b = 1 / dim
+    a_vec = np.concatenate([mult * unit for mult, unit in zip(mults, units)])
 
-    gram = np.real(ec @ e_flat.T)
-    x = np.linalg.solve(gram, a_vec / dim)
-    rho0 = np.tensordot(x, elems, axes=(0, 0))
-    if np.linalg.norm(rho0 - np.eye(dim) / dim) > 1e-9:
-        raise OptimizationError("identity is not in the span of the state basis")
+    def parts_of(vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [
+            ((vec[sl] @ flat).reshape(d, d), (vec[sl] @ pt_flat).reshape(d, d))
+            for sl, d, (flat, pt_flat) in zip(slices, dims, bases)
+        ]
 
-    def parts_of(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rho = _herm(np.tensordot(vec, elems, axes=(0, 0)))
-        if signs is not None:
-            rho_pt = _herm(np.tensordot(vec * signs, elems, axes=(0, 0)))
-        else:
-            rho_pt = _herm(np.tensordot(vec, pt_elems, axes=(0, 0)))
-        return rho, rho_pt
-
-    def f_of(vec: np.ndarray, t: float) -> float | None:
-        rho, rho_pt = parts_of(vec)
-        ld1 = _logdet_pd(rho)
-        if ld1 is None:
-            return None
-        ld2 = _logdet_pd(rho_pt)
-        if ld2 is None:
-            return None
-        return -t * float(m_vec @ vec) - ld1 - ld2
+    def barrier(vec: np.ndarray) -> float | None:
+        total = 0.0
+        for mult, pair in zip(mults, parts_of(vec)):
+            for mat in pair:
+                ld = _logdet_pd(mat)
+                if ld is None:
+                    return None
+                total -= mult * ld
+        return total
 
     total_newton = 0
     converged = True
     mu = 1.0
     while True:
         t = 1.0 / mu
-        f_x = f_of(x, t)
+        b_x = barrier(x)
         dec = math.inf
         for _ in range(60):
-            rho, rho_pt = parts_of(x)
-            prec = _herm(np.linalg.inv(rho))
-            prec_pt = _herm(np.linalg.inv(rho_pt))
-            grad = -t * m_vec - np.real(ec @ prec.ravel())
-            if signs is not None:
-                grad -= signs * np.real(ec @ prec_pt.ravel())
-            else:
-                grad -= np.real(gc @ prec_pt.ravel())
-
-            f1 = np.matmul(np.matmul(prec, elems), prec)
-            hess = np.real(f1.reshape(nb, -1) @ ec.T)
-            if signs is not None:
-                f2 = np.matmul(np.matmul(prec_pt, elems), prec_pt)
-                hess += np.outer(signs, signs) * np.real(f2.reshape(nb, -1) @ ec.T)
-            else:
-                f2 = np.matmul(np.matmul(prec_pt, pt_elems), prec_pt)
-                hess += np.real(f2.reshape(nb, -1) @ gc.T)
-            hess = (hess + hess.T) / 2.0
-
+            # block-diagonal Hessian bordered by the trace constraint
             kkt = np.zeros((nb + 1, nb + 1))
-            kkt[:nb, :nb] = hess
-            kkt[:nb, nb] = a_vec
-            kkt[nb, :nb] = a_vec
-            rhs = np.append(-grad, 0.0)
+            kkt[:nb, nb] = kkt[nb, :nb] = a_vec
+            grad = -t * m_vec
+            for mult, pair, d, flats, sl in zip(mults, parts_of(x), dims, bases, slices):
+                for mat, flat in zip(pair, flats):
+                    prec = np.linalg.inv(mat)
+                    grad[sl] -= mult * np.real(flat.conj() @ prec.ravel())
+                    curv = (prec @ flat.reshape(-1, d, d) @ prec).reshape(len(flat), -1)
+                    kkt[sl, sl] += mult * np.real(curv @ flat.conj().T)
+            # Near the central path grad is almost parallel to a_vec, with a
+            # multiplier of order t, and the Hessian spans ~1/mu^2 in scale.
+            # Removing that part of grad (it does not change dx), scaling
+            # the Hessian to unit diagonal and taking the decrement as the
+            # step's curvature dx.H.dx (equal to -grad.dx in exact
+            # arithmetic) keeps the rounding error from growing with t.
+            grad -= (a_vec @ grad) / (a_vec @ a_vec) * a_vec
+            scale = np.append(1.0 / np.sqrt(np.diag(kkt)[:nb]), 1.0)
+            kkt = kkt * np.outer(scale, scale)
+            kkt[:nb, :nb] = (kkt[:nb, :nb] + kkt[:nb, :nb].T) / 2.0
+            rhs = np.append(-grad, 0.0) * scale
             try:
-                sol = np.linalg.solve(kkt, rhs)
+                y = np.linalg.solve(kkt, rhs)[:nb]
             except np.linalg.LinAlgError:
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            dx = sol[:nb]
-            dec = float(-grad @ dx)
-            if not math.isfinite(dec) or dec < 0:
-                break
-            if dec <= 2e-9:
+                y = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:nb]
+            dx = y * scale[:nb]
+            dec = float(y @ kkt[:nb, :nb] @ y)
+            if not math.isfinite(dec) or dec <= 2e-9:
                 break
 
+            # Armijo test on -t Tr(M rho) + barrier, with the linear part
+            # taken from dx rather than as a difference of two large totals
+            gain = t * float(m_vec @ dx)
             step = 1.0
             accepted = False
             for _ in range(60):
                 x_new = x + step * dx
-                f_new = f_of(x_new, t)
-                if f_new is not None and f_new <= f_x - 0.25 * step * dec:
-                    x, f_x = x_new, f_new
+                b_new = barrier(x_new)
+                if b_new is not None and b_new - b_x - step * gain <= -0.01 * step * dec:
+                    x, b_x = x_new, b_new
                     accepted = True
                     break
                 step *= 0.5
             total_newton += 1
             if not accepted:
+                # Below mu ~ 1e-8 the Hessian spans more scales than double
+                # precision resolves and dx can point uphill; that ends the
+                # level at the rounding floor, like a centered one.  A
+                # downhill dx that no step length improves enough is a
+                # centering failure.
+                probe = 1e-4
+                b_probe = barrier(x + probe * dx)
+                if b_probe is not None and b_probe - b_x - probe * gain >= 0.0:
+                    dec = 0.0
                 break
         if dec > 1e-5:
             converged = False
@@ -577,10 +608,8 @@ def _barrier_maximize(
         mu = max(mu / 10.0, cfg.barrier_tol)
 
     x = x / float(a_vec @ x)  # remove the accumulated unit-trace drift
-    rho, rho_pt = parts_of(x)
-    min_slack = float(
-        min(np.linalg.eigvalsh(rho)[0], np.linalg.eigvalsh(rho_pt)[0])
-    )
+    parts = parts_of(x)
+    min_slack = min(float(np.linalg.eigvalsh(mat)[0]) for pair in parts for mat in pair)
     report = SolverReport(
         optimum=float(m_vec @ x),
         primal_residual=float(abs(a_vec @ x - 1.0)),
@@ -589,7 +618,26 @@ def _barrier_maximize(
         iterations=total_newton,
         converged=converged,
     )
-    return x, report
+    return [xb for xb, _ in parts], report
+
+
+@lru_cache(maxsize=16)
+def _spin_embeddings(num_qubits: int, part_size: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """Real embeddings of the (j_A, j_B) spin blocks of a two-part register.
+
+    Each entry is ``(dim_a, dim_b, V)`` with ``V`` of shape
+    ``(2^N, mult * dim_a * dim_b)``: column block ``c`` is the isometry of
+    copy ``c``, ordered as the tensor product of a part-A spin state (the
+    first ``part_size`` qubits) and a part-B spin state.
+    """
+    out = []
+    for blk_a in spin_blocks(part_size):
+        for blk_b in spin_blocks(num_qubits - part_size):
+            iso = np.einsum("xci,yej->xyceij", blk_a.isometry, blk_b.isometry)
+            iso = iso.reshape(2**num_qubits, -1)
+            iso.setflags(write=False)
+            out.append((blk_a.dim, blk_b.dim, iso))
+    return tuple(out)
 
 
 def _front_permutation(part: tuple[int, ...], num_qubits: int):
@@ -613,44 +661,48 @@ def _front_permutation(part: tuple[int, ...], num_qubits: int):
 def max_ppt(problem: PptProblem, config: SolverConfig | None = None) -> PptResult:
     """Maximum of ``Tr(M rho)`` over PPT states for one bipartition.
 
-    Permutation-invariant objectives are solved in the two-part symmetrized
-    operator basis regardless of which qubits form the part (any part of the
-    same size gives the same value); other objectives fall back to the full
-    Hermitian basis, which is practical up to 5 qubits.
+    The part is first moved to the leading qubits.  A permutation-invariant
+    objective is invariant under permutations within each part, and so,
+    without loss of generality (twirling preserves both constraints), is the
+    optimal state: in the real Schur–Weyl basis of the two parts both are
+    direct sums of blocks labelled by the part spins ``(j_A, j_B)``, of size
+    ``(2 j_A + 1)(2 j_B + 1)`` and multiplicity the product of the spin
+    multiplicities, and the partial transpose maps each block to itself.
+    Any part of a given size then gives the same value.  Other objectives are
+    solved as one dense block, which is practical up to 5 qubits.  The
+    returned ``rho`` is the dense state on the original qubit order.
     """
     cfg = config or SolverConfig()
     m = problem.objective
     n = m.num_qubits
     part = problem.bipartition
     k = len(part)
-    prefix = tuple(range(1, k + 1))
-    pi = is_permutation_invariant(m)
+    perm, inverse = _front_permutation(part, n)
 
-    if pi:
-        elems, signs = _pi_commutant_basis(n, k)
-        x, report = _barrier_maximize(_herm(m.mat), elems, signs, None, cfg)
-        rho_mat = _herm(np.tensordot(x, elems, axes=(0, 0)))
-        rho = DenseOperator(rho_mat)
-        if part != prefix:
-            _, inverse = _front_permutation(part, n)
-            rho = permute_qubits(rho, inverse)
+    if is_permutation_invariant(m):
+        embeddings = _spin_embeddings(n, k)
+        m_mat = m.mat
     else:
         if n > 5:
             raise OptimizationError(
                 "dense PPT maximization without permutation symmetry is "
                 "limited to 5 qubits"
             )
-        m_mat = m.mat
-        if part != prefix:
-            perm, inverse = _front_permutation(part, n)
-            m_mat = permute_qubits(m, perm).mat
-        elems = _hermitian_basis(2**n)
-        pt_elems = _batched_pt_front(elems, 2**k)
-        x, report = _barrier_maximize(_herm(m_mat), elems, None, pt_elems, cfg)
-        rho_mat = _herm(np.tensordot(x, elems, axes=(0, 0)))
-        rho = DenseOperator(rho_mat)
-        if part != prefix:
-            rho = permute_qubits(rho, inverse)
+        embeddings = ((2**k, 2 ** (n - k), np.eye(2**n)),)
+        m_mat = permute_qubits(m, perm).mat
+    blocks = []
+    for dim_a, dim_b, iso in embeddings:
+        d = dim_a * dim_b
+        mult = iso.shape[1] // d
+        copies = (iso.T @ m_mat @ iso).reshape(mult, d, mult, d)
+        m_b = np.einsum("cicj->ij", copies) / mult  # equal copies for a PI objective
+        blocks.append(_Block(dim_a, dim_b, mult, _herm(m_b)))
+    x_blocks, report = _barrier_maximize(blocks, cfg)
+    rho_mat = sum(
+        iso @ np.kron(np.eye(blk.mult), xb) @ iso.T
+        for (_, _, iso), blk, xb in zip(embeddings, blocks, x_blocks)
+    )
+    rho = permute_qubits(DenseOperator(_herm(rho_mat)), inverse)
     return PptResult(value=report.optimum, rho=rho, report=report)
 
 
@@ -693,31 +745,6 @@ def max_ppt_all(
 # ---------------------------------------------------------------------------
 
 
-def _seesaw_once(
-    m_tensor: np.ndarray,
-    dim_b: int,
-    rng: np.random.Generator,
-    tol: float,
-    max_iters: int,
-) -> float:
-    vec_b = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
-    vec_b /= np.linalg.norm(vec_b)
-    value = -math.inf
-    for _ in range(max_iters):
-        m_a = np.einsum("ijkl,j,l->ik", m_tensor, vec_b.conj(), vec_b)
-        vals, vecs = np.linalg.eigh(m_a)
-        vec_a = vecs[:, -1]
-        m_b = np.einsum("ijkl,i,k->jl", m_tensor, vec_a.conj(), vec_a)
-        vals, vecs = np.linalg.eigh(m_b)
-        vec_b = vecs[:, -1]
-        new_value = float(vals[-1])
-        if new_value - value <= tol:
-            value = max(value, new_value)
-            break
-        value = new_value
-    return value
-
-
 def max_bisep_seesaw(
     objective: DenseOperator,
     bipartition,
@@ -751,10 +778,26 @@ def max_bisep_seesaw(
     dim_a = 2 ** len(part)
     dim_b = 2 ** (n - len(part))
     m_tensor = m.mat.reshape(dim_a, dim_b, dim_a, dim_b)
-    best = -math.inf
-    for _ in range(restarts):
-        best = max(best, _seesaw_once(m_tensor, dim_b, rng, tol, 2000))
-    return best
+    vec_b = np.empty((restarts, dim_b), dtype=complex)
+    for r in range(restarts):
+        vec_b[r] = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
+        vec_b[r] /= np.linalg.norm(vec_b[r])
+    values = np.full(restarts, -math.inf)
+    active = np.arange(restarts)  # each restart stops on its own once it gains <= tol
+    for _ in range(2000):
+        if not active.size:
+            break
+        vb = vec_b[active]
+        m_a = np.einsum("ijkl,rj,rl->rik", m_tensor, vb.conj(), vb)
+        vec_a = np.linalg.eigh(m_a)[1][:, :, -1]
+        m_b = np.einsum("ijkl,ri,rk->rjl", m_tensor, vec_a.conj(), vec_a)
+        vals, vecs = np.linalg.eigh(m_b)
+        vec_b[active] = vecs[:, :, -1]
+        new, old = vals[:, -1], values[active]
+        done = new - old <= tol
+        values[active] = np.where(done, np.maximum(old, new), new)
+        active = active[~done]
+    return float(np.max(values, initial=-math.inf))
 
 
 def max_bisep_all(
@@ -860,6 +903,8 @@ def q_scan(
     operator over all bipartitions, and the white-noise tolerance of the
     resulting witness is recorded.
     """
+    if num_qubits > PPT_MAX_QUBITS:
+        raise ValueError(f"PPT maximization is limited to {PPT_MAX_QUBITS} qubits")
     cfg = config or SolverConfig()
     target = dicke(num_qubits, excitations)
     rho_t = target.density()

@@ -1,9 +1,12 @@
-"""Symmetric (Dicke) states, collective spin operators and qubit permutations."""
+"""Symmetric (Dicke) states, collective spin operators, qubit permutations
+and the real Schur–Weyl (total-spin) decomposition of the qubit register."""
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,3 +146,61 @@ def is_permutation_invariant(a: DenseOperator, atol: float = PI_ATOL) -> bool:
         if np.max(np.abs(swapped - a.mat)) >= atol:
             return False
     return True
+
+
+class SpinBlock(NamedTuple):
+    """Every copy of the total-spin-``j`` irrep inside ``num_qubits`` qubits.
+
+    ``isometry`` is real with shape ``(2^p, multiplicity, 2j+1)``: the columns
+    ``isometry[:, c, :]`` are the states ``|j, j>, |j, j-1>, ..., |j, -j>`` of
+    copy ``c``, with the same (Condon–Shortley) matrices of ``J_x, J_y, J_z``
+    on every copy.  A permutation-invariant operator ``A`` therefore has
+    ``W_c^T A W_c' = delta_cc' A_j``.
+    """
+
+    j: float
+    isometry: np.ndarray
+
+    @property
+    def multiplicity(self) -> int:
+        return self.isometry.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.isometry.shape[2]
+
+
+@lru_cache(maxsize=16)
+def spin_blocks(num_qubits: int) -> tuple[SpinBlock, ...]:
+    """Real Schur–Weyl isometries of ``num_qubits`` qubits, largest spin first.
+
+    The highest-weight vectors of spin ``j`` (``J_z = j``, ``J_+ = 0``) are an
+    orthonormal basis of the kernel of the real ``J_+`` on the Hamming-weight
+    ``p/2 - j`` subspace; each is lowered by the real ``J_-`` with the
+    standard normalization ``sqrt(j(j+1) - m(m-1))``.  The blocks together
+    form a real orthogonal change of basis of the ``2^p``-dimensional space.
+    """
+    p = int(num_qubits)
+    if p < 1:
+        raise ValueError("num_qubits must be >= 1")
+    j_plus = np.real(collective_j(p, "x").mat + 1j * collective_j(p, "y").mat)
+    weight = np.array([bin(i).count("1") for i in range(2**p)])
+    blocks = []
+    for w in range(p // 2 + 1):
+        j = p / 2 - w
+        cols = np.flatnonzero(weight == w)
+        if w == 0:
+            top = np.eye(2**p)[:, cols]
+        else:
+            rows = np.flatnonzero(weight == w - 1)
+            _, _, vt = np.linalg.svd(j_plus[np.ix_(rows, cols)])
+            top = np.zeros((2**p, len(cols) - len(rows)))
+            top[cols] = vt[len(rows):].T  # J_+ is onto weight w-1, so the kernel is the rest
+        iso = np.empty((2**p, top.shape[1], int(round(2 * j)) + 1))
+        iso[:, :, 0] = top
+        for s in range(1, iso.shape[2]):
+            m = j - s + 1
+            iso[:, :, s] = j_plus.T @ iso[:, :, s - 1] / math.sqrt(j * (j + 1) - m * (m - 1))
+        iso.setflags(write=False)
+        blocks.append(SpinBlock(j, iso))
+    return tuple(blocks)

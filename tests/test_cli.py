@@ -183,3 +183,15 @@ def test_ppt_max_matches_library(capsys):
     oracle = max_ppt_all(objective)
     assert payload["value"] == pytest.approx(oracle.value, abs=1e-9)
     assert payload["bipartition"] == list(oracle.bipartition)
+
+
+def test_ppt_objective_size_is_checked_before_allocation(capsys, monkeypatch):
+    def no_operators(*args, **kwargs):
+        raise AssertionError("a dense operator was built before the size check")
+
+    for module in ("symwit.cli", "symwit.optimize"):
+        monkeypatch.setattr(f"{module}.collective_j", no_operators)
+        monkeypatch.setattr(f"{module}.dicke", no_operators)
+    assert main(["ppt-max", "--n", "12"]) == 3
+    assert main(["q-scan", "--n", "12", "--m", "6", "--values", "0"]) == 3
+    assert "8 qubits" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,10 +32,14 @@ def bell_projector() -> DenseOperator:
     return DenseOperator(np.outer(bell.vec, bell.vec.conj()))
 
 
-def random_pi_objective(num_qubits: int, rng: np.random.Generator) -> DenseOperator:
+def random_pi_objective(
+    num_qubits: int, rng: np.random.Generator, real: bool = False
+) -> DenseOperator:
     ops = [identity(num_qubits)]
     for axis in "xyz":
         for power in (1, 2):
+            if real and (axis, power) == ("y", 1):
+                continue  # J_y is the only imaginary term
             ops.append(op_power(collective_j(num_qubits, axis), power))
     total = ops[0] * 0.0
     for op in ops:
@@ -77,17 +83,37 @@ def test_ppt_returned_state_is_feasible():
 
 
 def test_ppt_commutant_matches_dense_solver():
-    # a PI objective solved in the symmetrized basis must agree with the
-    # generic dense solve on the same bipartition
+    # a PI objective solved in spin blocks must agree with the generic
+    # one-block dense solve on the same bipartition
     rng = np.random.default_rng(42)
     m = random_pi_objective(3, rng)
     fast = max_ppt(PptProblem(m, (1,)))
-    from symwit.optimize import _barrier_maximize, _batched_pt_front, _herm, _hermitian_basis
+    from symwit.optimize import _Block, _barrier_maximize
 
-    elems = _hermitian_basis(8)
-    pt = _batched_pt_front(elems, 2)
-    _, report = _barrier_maximize(_herm(m.mat), elems, None, pt, SolverConfig())
+    _, report = _barrier_maximize([_Block(2, 4, 1, m.mat)], SolverConfig())
     assert abs(fast.value - report.optimum) < 1e-6
+
+
+def test_ppt_spin_blocks_match_one_block_solve():
+    from symwit.optimize import _Block, _barrier_maximize
+
+    rng = np.random.default_rng(44)
+    for n in (3, 4, 5):
+        # complex objectives where the one-block solve is cheap
+        m = random_pi_objective(n, rng, real=n == 5)
+        for k in range(1, n // 2 + 1):
+            part = tuple(range(n - k + 1, n + 1))  # a part that is not a prefix
+            result = max_ppt(PptProblem(m, part))
+            _, dense = _barrier_maximize(
+                [_Block(2**k, 2 ** (n - k), 1, m.mat)], SolverConfig()
+            )
+            assert result.report.converged and dense.converged
+            assert abs(result.value - dense.optimum) < 1e-6, (n, k)
+            rho = result.rho
+            assert abs(rho.trace() - 1.0) < 1e-9
+            assert np.linalg.eigvalsh(rho.mat)[0] > -1e-9
+            assert np.linalg.eigvalsh(partial_transpose(rho, part).mat)[0] > -1e-9
+            assert abs(float(np.real((m @ rho).trace())) - result.value) < 1e-8
 
 
 def test_ppt_problem_validation():
@@ -114,6 +140,45 @@ def test_seesaw_bell_oracle_and_restart_prefix_monotone():
     # restarts consume one rng stream: more restarts can only improve
     values = [max_bisep_seesaw(m, (1,), restarts=r) for r in (1, 5, 20, 50)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def _seesaw_sequential(m, part_size, restarts, seed, tol):
+    """Reference: one restart at a time, same random stream and stopping rule."""
+    n = m.num_qubits
+    dim_a, dim_b = 2**part_size, 2 ** (n - part_size)
+    tensor = m.mat.reshape(dim_a, dim_b, dim_a, dim_b)
+    rng = np.random.default_rng(seed)
+    best = -math.inf
+    for _ in range(restarts):
+        vec_b = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
+        vec_b /= np.linalg.norm(vec_b)
+        value = -math.inf
+        for _ in range(2000):
+            vec_a = np.linalg.eigh(np.einsum("ijkl,j,l->ik", tensor, vec_b.conj(), vec_b))[1][:, -1]
+            vals, vecs = np.linalg.eigh(np.einsum("ijkl,i,k->jl", tensor, vec_a.conj(), vec_a))
+            vec_b, new_value = vecs[:, -1], float(vals[-1])
+            if new_value - value <= tol:
+                value = max(value, new_value)
+                break
+            value = new_value
+        best = max(best, value)
+    return best
+
+
+def test_seesaw_batch_matches_sequential_restarts():
+    # a loose tol stops each restart after a few passes, far from converged,
+    # so the value depends on the restart's own start vector
+    rng = np.random.default_rng(45)
+    for n, k in ((3, 1), (4, 2), (5, 2)):
+        m = random_pi_objective(n, rng)
+        for seed in (0, 1):
+            for tol in (1e-12, 1.0):
+                got = max_bisep_seesaw(
+                    m, tuple(range(1, k + 1)), restarts=7, tol=tol,
+                    config=SolverConfig(seed=seed),
+                )
+                assert abs(got - _seesaw_sequential(m, k, 7, seed, tol)) <= 1e-12
+    assert max_bisep_seesaw(bell_projector(), (1,), restarts=0) == -math.inf
 
 
 def test_seesaw_is_lower_bound_of_ppt():

@@ -15,6 +15,7 @@ from symwit.symmetric import (
     dicke,
     is_permutation_invariant,
     permute_qubits,
+    spin_blocks,
     symmetrize,
     w_state,
 )
@@ -123,3 +124,32 @@ def test_is_permutation_invariant():
     assert is_permutation_invariant(op_power(collective_j(3, "y"), 2))
     single = DenseOperator(np.kron(pauli("x").mat, np.eye(4)))
     assert not is_permutation_invariant(single)
+
+
+def test_spin_blocks_are_schur_weyl_isometries():
+    rng = np.random.default_rng(9)
+    for p in range(1, 6):
+        dim = 2**p
+        blocks = spin_blocks(p)
+        assert sum(b.multiplicity * b.dim for b in blocks) == dim
+        cols = np.concatenate([b.isometry.reshape(dim, -1) for b in blocks], axis=1)
+        assert np.allclose(cols.T @ cols, np.eye(dim), atol=1e-12)
+        jx, jy, jz = (collective_j(p, axis).mat for axis in "xyz")
+        j_sq = jx @ jx + jy @ jy + jz @ jz
+        assert np.allclose(j_sq @ cols, cols * np.concatenate(
+            [np.full(b.multiplicity * b.dim, b.j * (b.j + 1)) for b in blocks]
+        ), atol=1e-10)
+        # a random PI operator is the same block on every copy and has no
+        # entries between copies or between spins
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        op = symmetrize(DenseOperator(raw + raw.conj().T)).mat
+        want = np.zeros((dim, dim), dtype=complex)
+        start = 0
+        for b in blocks:
+            first = b.isometry[:, 0, :]
+            size = b.multiplicity * b.dim
+            want[start:start + size, start:start + size] = np.kron(
+                np.eye(b.multiplicity), first.T @ op @ first
+            )
+            start += size
+        assert np.allclose(cols.T @ op @ cols, want, atol=1e-10)
