@@ -26,7 +26,7 @@ from .compiler import (
     settings_upper_bound,
 )
 from .counts import CountsDataset, evaluate_witness_counts, simulate_counts
-from .linalg import DenseOperator, identity, op_power
+from .linalg import DenseOperator
 from .optimize import (
     PPT_MAX_QUBITS,
     OptimizationError,
@@ -41,7 +41,7 @@ from .optimize import (
     optimize_witness,
     q_scan,
 )
-from .symmetric import collective_j, dicke
+from .symmetric import dicke
 from .witnesses import (
     CATALOG_NAMES,
     NoiseModel,
@@ -51,6 +51,7 @@ from .witnesses import (
     fidelity_curves,
     noise_tolerance,
     nonwhite_noise_state,
+    _wi3_objective,
 )
 
 _GLOBALS = (
@@ -133,14 +134,9 @@ def _ppt_objective(args: argparse.Namespace) -> DenseOperator:
     n = args.n
     if n > PPT_MAX_QUBITS:
         raise ValueError(f"--n {n}: PPT objectives are limited to {PPT_MAX_QUBITS} qubits")
-    m = op_power(collective_j(n, "x"), 2) + op_power(collective_j(n, "y"), 2)
-    if args.q:
-        if args.m is None:
-            raise ValueError("--q requires --m to fix <J_z> at the Dicke target")
-        jz = collective_j(n, "z")
-        jz0 = float(np.real(jz.expectation(dicke(n, args.m))))
-        m = m - args.q * op_power(jz - jz0 * identity(n), 2)
-    return m
+    if args.q and args.m is None:
+        raise ValueError("--q requires --m to fix <J_z> at the Dicke target")
+    return _wi3_objective(n, args.m, args.q)
 
 
 def _parse_bipartition(raw: str) -> tuple[int, ...]:

@@ -22,11 +22,10 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .linalg import DenseOperator, _SIGMA
+from .linalg import DenseOperator, _SIGMA, _kron_all
 from .symmetric import is_permutation_invariant, symmetrize
 
 _ZERO_SNAP = 1e-12
-_MERGE_ATOL = 1e-12
 
 _AXES = ("x", "y", "z")
 _AXIS_VEC = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
@@ -46,14 +45,21 @@ class Setting:
 
     Stored as a unit 3-vector with the first nonzero component positive;
     an exact integer label (gcd-reduced) is kept alongside whenever the
-    direction is proportional to an integer vector.
+    direction is proportional to an integer vector.  Settings compare and
+    hash by one canonical key, the label when there is one and otherwise the
+    unit vector rounded to 9 decimals, so equal settings hash equal and
+    serve directly as dictionary keys.
     """
 
-    __slots__ = ("unit", "label")
+    __slots__ = ("unit", "label", "_key")
 
     def __init__(self, unit: tuple[float, float, float], label=None) -> None:
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "label", label)
+        # 9 decimals, the scale of the integer test: a finer grid splits one
+        # direction computed two ways (e.g. before and after a JSON round trip)
+        key = label if label is not None else tuple(round(x, 9) for x in unit)
+        object.__setattr__(self, "_key", key)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Setting is immutable")
@@ -87,8 +93,39 @@ class Setting:
             return cls.from_ints(label)
         return cls(tuple(unit), None)
 
-    def matches(self, other: "Setting", atol: float = 1e-9) -> bool:
-        return all(abs(a - b) <= atol for a, b in zip(self.unit, other.unit))
+    @classmethod
+    def parse(cls, raw, keep_unit: bool = False) -> tuple["Setting | None", bool]:
+        """Canonical setting of a raw direction, and whether ``raw`` points against it.
+
+        ``raw`` must hold three finite numbers.  A vector of norm below 1e-12
+        gives ``(None, False)``; one within 1e-9 of an integer vector is read
+        as that integer vector.  With ``keep_unit`` (directions read back from
+        JSON) a vector that is already a canonical unit is kept as written:
+        renormalizing it could move its last bit and so its key.
+        """
+        try:
+            arr = [float(x) for x in raw]
+        except (TypeError, ValueError):
+            raise ValueError(f"direction must be 3 numbers, got {raw!r}") from None
+        if len(arr) != 3 or not all(math.isfinite(x) for x in arr):
+            raise ValueError(f"direction must be 3 finite numbers, got {raw!r}")
+        if math.sqrt(sum(x * x for x in arr)) < _ZERO_SNAP:
+            return None, False
+        if all(abs(x - round(x)) < 1e-9 for x in arr):
+            setting = cls.from_ints([round(x) for x in arr])
+        else:
+            setting = cls.from_vector(arr)
+            if keep_unit and setting.label is None and math.dist(arr, setting.unit) < 1e-11:
+                setting = cls(tuple(arr), None)
+        return setting, _dot(arr, setting) < 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Setting):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def json_entry(self):
         return list(self.label) if self.label is not None else list(self.unit)
@@ -97,6 +134,10 @@ class Setting:
         if self.label is not None:
             return f"Setting{self.label}"
         return f"Setting({self.unit[0]:.6f}, {self.unit[1]:.6f}, {self.unit[2]:.6f})"
+
+
+def _dot(vec, setting: Setting) -> float:
+    return sum(float(a) * u for a, u in zip(vec, setting.unit))
 
 
 def _integer_label(unit, max_coeff: int = 720) -> tuple[int, int, int] | None:
@@ -147,42 +188,32 @@ class LocalTerm:
         )
 
     def realize(self, num_qubits: int) -> np.ndarray:
-        local = self.local_matrix()
-        out = np.eye(1, dtype=complex)
-        for _ in range(num_qubits):
-            out = np.kron(out, local)
-        return float(self.coefficient) * out
+        return float(self.coefficient) * _kron_all([self.local_matrix()] * num_qubits)
 
 
-def _canonical_term(coefficient, n_vec, identity_weight, num_qubits: int,
-                    setting: Setting | None = None) -> LocalTerm:
+def _absorb_flip(coefficient, identity_weight: float, num_qubits: int):
+    """``(coefficient, w)`` of a term whose direction ``-a`` is rewritten as ``a``.
+
+    Uses ``(-(a.sigma) + w)^{(x)N} = (-1)^N (a.sigma - w)^{(x)N}``.
+    """
+    if num_qubits % 2 == 1:
+        coefficient = -coefficient
+    return coefficient, -identity_weight
+
+
+def _canonical_term(coefficient, n_vec, identity_weight, num_qubits: int) -> LocalTerm:
     """Normalize a raw ``coefficient * (n . sigma + w)^{(x)N}`` term.
 
     The direction is reduced to canonical form; a sign flip of the direction
-    is absorbed as ``(-(a.sigma) + w)^{(x)N} = (-1)^N (a.sigma - w)^{(x)N}``.
+    is absorbed into the coefficient and identity weight.
     """
-    if setting is None:
-        arr = [float(x) for x in n_vec]
-        nrm = math.sqrt(sum(x * x for x in arr))
-        if nrm < _ZERO_SNAP:
-            return LocalTerm(coefficient, None, 0.0, float(identity_weight))
-        if all(abs(x - round(x)) < 1e-9 for x in arr):
-            setting = Setting.from_ints([round(x) for x in arr])
-        else:
-            setting = Setting.from_vector(arr)
-        # sign relative to the canonical direction
-        dots = sum(a * u for a, u in zip(arr, setting.unit))
-        sign = 1.0 if dots > 0 else -1.0
-        scale = abs(dots)
-    else:
-        sign = 1.0
-        scale = float(np.linalg.norm(np.asarray(n_vec, dtype=float)))
+    setting, flipped = Setting.parse(n_vec)
     w = float(identity_weight)
-    if sign < 0:
-        w = -w
-        if num_qubits % 2 == 1:
-            coefficient = -coefficient
-    return LocalTerm(coefficient, setting, _snap(scale, 1e-12), _snap(w))
+    if setting is None:
+        return LocalTerm(coefficient, None, 0.0, w)
+    if flipped:
+        coefficient, w = _absorb_flip(coefficient, w, num_qubits)
+    return LocalTerm(coefficient, setting, _snap(abs(_dot(n_vec, setting)), 1e-12), _snap(w))
 
 
 @dataclass
@@ -194,13 +225,8 @@ class Schedule:
 
     @property
     def settings(self) -> list[Setting]:
-        out: list[Setting] = []
-        for term in self.terms:
-            if term.setting is None:
-                continue
-            if not any(term.setting.matches(s) for s in out):
-                out.append(term.setting)
-        return out
+        """Distinct settings of the terms, in order of first appearance."""
+        return list(dict.fromkeys(t.setting for t in self.terms if t.setting is not None))
 
     @property
     def num_settings(self) -> int:
@@ -216,28 +242,17 @@ class Schedule:
 
     def merged(self) -> "Schedule":
         """Combine terms sharing a setting, scale and identity weight."""
-        merged: list[LocalTerm] = []
+        groups: dict[tuple, LocalTerm] = {}
         for term in self.terms:
-            hit = None
-            for i, other in enumerate(merged):
-                if (term.setting is None) != (other.setting is None):
-                    continue
-                if term.setting is not None and not term.setting.matches(other.setting):
-                    continue
-                if abs(term.scale - other.scale) > _MERGE_ATOL:
-                    continue
-                if abs(term.identity_weight - other.identity_weight) > _MERGE_ATOL:
-                    continue
-                hit = i
-                break
-            if hit is None:
-                merged.append(term)
-            else:
-                old = merged[hit]
-                coeff = old.coefficient + term.coefficient
-                merged[hit] = LocalTerm(coeff, old.setting, old.scale, old.identity_weight)
+            # rounded like the unit key, so last-bit differences still merge
+            key = (term.setting, round(term.scale, 12), round(term.identity_weight, 12))
+            old = groups.get(key)
+            if old is not None:
+                term = LocalTerm(old.coefficient + term.coefficient, old.setting,
+                                 old.scale, old.identity_weight)
+            groups[key] = term
         merged = [
-            t for t in merged
+            t for t in groups.values()
             if abs(float(t.coefficient)) > 1e-15
             and not (t.setting is None and abs(t.identity_weight) < 1e-15)
         ]
@@ -263,29 +278,19 @@ class Schedule:
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
+        """Read :meth:`to_json` output; a direction may be given with either sign."""
         payload = json.loads(text)
         try:
             n = int(payload["N"])
-            raw_terms = payload["terms"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed schedule JSON: missing {exc}") from None
-        terms = []
-        for entry in raw_terms:
-            nvec = entry["n"]
-            if all(abs(float(v)) < _ZERO_SNAP for v in nvec):
-                setting = None
-            elif all(float(v) == int(v) for v in nvec):
-                setting = Setting.from_ints([int(v) for v in nvec])
-            else:
-                setting = Setting.from_vector(nvec)
-            terms.append(
-                LocalTerm(
-                    float(entry["coeff"]),
-                    setting,
-                    float(entry["scale"]),
-                    float(entry["identity_weight"]),
-                )
-            )
+            terms = []
+            for entry in payload["terms"]:
+                setting, flipped = Setting.parse(entry["n"], keep_unit=True)
+                coeff, w = float(entry["coeff"]), float(entry["identity_weight"])
+                if flipped:
+                    coeff, w = _absorb_flip(coeff, w, n)
+                terms.append(LocalTerm(coeff, setting, float(entry["scale"]), w))
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            raise ValueError(f"malformed schedule JSON: {exc}") from None
         return cls(n, terms)
 
 
@@ -335,11 +340,7 @@ class PauliClass:
     def realization(self, num_qubits: int) -> DenseOperator:
         total = np.zeros((2**num_qubits, 2**num_qubits), dtype=complex)
         for arrangement in _multiset_permutations(self.letters(num_qubits)):
-            mats = [_SIGMA[a] for a in arrangement]
-            term = np.eye(1, dtype=complex)
-            for mm in mats:
-                term = np.kron(term, mm)
-            total += term
+            total += _kron_all(_SIGMA[a] for a in arrangement)
         return DenseOperator(self.coefficient * total)
 
 
@@ -398,9 +399,7 @@ def pauli_decompose(a: DenseOperator, atol: float = 1e-10) -> PauliPolynomial:
         for j in range(n + 1 - i):
             for m in range(n + 1 - i - j):
                 letters = ["x"] * i + ["y"] * j + ["z"] * m + ["i"] * (n - i - j - m)
-                rep = np.eye(1, dtype=complex)
-                for letter in letters:
-                    rep = np.kron(rep, _SIGMA[letter])
+                rep = _kron_all(_SIGMA[letter] for letter in letters)
                 coeff = complex(np.sum(sym.mat.T * rep)) / 2**n
                 if abs(coeff.imag) > 1e-10 * scale:
                     raise ValueError("non-real Pauli coefficient on a Hermitian input")
@@ -534,11 +533,9 @@ def mermin_operator(num_qubits: int, a, b) -> DenseOperator:
     for k in range(0, n + 1, 2):
         sign = (-1) ** (k // 2)
         for positions in combinations(range(n), k):
-            mats = [_SIGMA[la] if q in positions else _SIGMA[lb] for q in range(n)]
-            term = np.eye(1, dtype=complex)
-            for mmat in mats:
-                term = np.kron(term, mmat)
-            total += sign * term
+            total += sign * _kron_all(
+                _SIGMA[la] if q in positions else _SIGMA[lb] for q in range(n)
+            )
     return DenseOperator(total)
 
 

@@ -11,7 +11,9 @@ character = qubit 1, with ``+`` marking the +1 eigenvalue along the canonical
 direction (gcd-reduced, first nonzero component positive); ``count`` is the
 number of shots that produced the pattern.  Directions supplied with the
 opposite sign are canonicalized on load and the outcome characters flipped,
-so files may use either sign convention.
+so files may use either sign convention.  Records are grouped by setting
+equality (the canonical key of :class:`~symwit.compiler.Setting`), so every
+spelling of one direction lands in the same group.
 
 A schedule term ``coefficient * (scale * (n . sigma) + w * 1)^{(x) N}`` has
 the unbiased single-shot estimator ``coefficient * prod_k (w + scale * o_k)``
@@ -22,14 +24,12 @@ per-setting multinomial bootstrap.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .compiler import LocalTerm, Schedule, Setting, compile_operator
-from .linalg import DenseOperator, StateVector, _SIGMA
+from .linalg import DenseOperator, StateVector, _SIGMA, _kron_all
 from .witnesses import WitnessSpec
 
 __all__ = [
@@ -89,17 +89,13 @@ class CountsDataset:
         Returns ``(setting, outcome_patterns, counts)`` triples with duplicate
         patterns merged; the order defines the bootstrap task index.
         """
-        groups: list[tuple[Setting, dict]] = []
+        groups: dict[Setting, dict[str, int]] = {}
         for rec in self.records:
-            for setting, table in groups:
-                if setting.matches(rec.setting):
-                    table[rec.outcomes] = table.get(rec.outcomes, 0) + rec.count
-                    break
-            else:
-                groups.append((rec.setting, {rec.outcomes: rec.count}))
+            table = groups.setdefault(rec.setting, {})
+            table[rec.outcomes] = table.get(rec.outcomes, 0) + rec.count
         return [
             (setting, list(table.keys()), np.array(list(table.values()), dtype=np.int64))
-            for setting, table in groups
+            for setting, table in groups.items()
         ]
 
     def total_shots(self) -> int:
@@ -119,19 +115,15 @@ class CountsDataset:
                 continue
             try:
                 entry = json.loads(line)
-                raw = [float(v) for v in entry["setting"]]
+                setting, flipped = Setting.parse(entry["setting"], keep_unit=True)
                 outcomes = str(entry["outcomes"])
                 count = int(entry["count"])
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed counts record on line {lineno}: {exc}") from None
-            if len(raw) != 3:
-                raise ValueError(f"setting on line {lineno} must have 3 components")
-            if all(abs(v - round(v)) < 1e-9 for v in raw):
-                setting = Setting.from_ints([round(v) for v in raw])
-            else:
-                setting = Setting.from_vector(raw)
+            if setting is None:
+                raise ValueError(f"setting on line {lineno} must be nonzero")
             # canonicalization may flip the direction; flip outcomes to match
-            if sum(a * u for a, u in zip(raw, setting.unit)) < 0:
+            if flipped:
                 outcomes = outcomes.translate(str.maketrans("+-", "-+"))
             if num_qubits is None:
                 num_qubits = len(outcomes)
@@ -216,7 +208,7 @@ def _born_probabilities(
         amps = _rotate_state(state.vec, frame.conj().T, num_qubits)
         probs = np.abs(amps) ** 2
     else:
-        full = reduce(np.kron, [frame] * num_qubits)
+        full = _kron_all([frame] * num_qubits)
         half = full.conj().T @ state.mat
         probs = np.real(np.einsum("bj,jb->b", half, full))
     probs = np.clip(probs, 0.0, None)
@@ -300,14 +292,14 @@ def evaluate_counts(
     if dataset.num_qubits != schedule.num_qubits:
         raise ValueError("dataset and schedule disagree on the qubit number")
     groups = dataset.grouped()
+    group_index = {setting: gi for gi, (setting, _, _) in enumerate(groups)}
     resamples: dict[int, np.ndarray] = {}
     totals = [int(counts.sum()) for _, _, counts in groups]
 
     def group_for(setting: Setting) -> int:
-        for gi, (s, _, _) in enumerate(groups):
-            if s.matches(setting):
-                return gi
-        raise ValueError(f"no counts found for setting {setting!r}")
+        if setting not in group_index:
+            raise ValueError(f"no counts found for setting {setting!r}")
+        return group_index[setting]
 
     def resample(gi: int) -> np.ndarray:
         if gi not in resamples:

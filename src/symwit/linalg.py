@@ -173,13 +173,18 @@ def pauli(axis: str) -> DenseOperator:
 
 def pauli_string(axes) -> DenseOperator:
     """Tensor product of single-qubit Paulis, e.g. ('x', 'i', 'z')."""
-    mats = [_SIGMA[a] for a in axes]
-    return DenseOperator(reduce(np.kron, mats) if mats else np.eye(1, dtype=complex))
+    return DenseOperator(_kron_all([_SIGMA[a] for a in axes]))
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
+
+def _kron_all(mats) -> np.ndarray:
+    """Left fold ``(m_1 (x) m_2) (x) ...`` of matrices or vectors; ``[[1]]`` if empty."""
+    mats = list(mats)
+    return reduce(np.kron, mats) if mats else np.eye(1, dtype=complex)
+
 
 def kron(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     """Tensor product; qubits of ``a`` become the most significant block."""
@@ -189,10 +194,7 @@ def kron(a: DenseOperator, b: DenseOperator) -> DenseOperator:
 def kron_power(a: DenseOperator, n: int) -> DenseOperator:
     if n < 0:
         raise ValueError("tensor power requires n >= 0")
-    out = np.eye(1, dtype=complex)
-    for _ in range(n):
-        out = np.kron(out, a.mat)
-    return DenseOperator(out)
+    return DenseOperator(_kron_all([a.mat] * n))
 
 
 def op_power(a: DenseOperator, n: int) -> DenseOperator:
@@ -218,23 +220,23 @@ def hermitian_eig(a: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors.  The input must be Hermitian to within 1e-12 entrywise;
     the residual asymmetry is symmetrized away before factorization.
     """
-    defect = a.hermiticity_defect()
-    if defect >= HERM_ATOL:
-        raise ValueError(
-            f"operator is not Hermitian: max |A - A^dagger| = {defect:.3e} >= {HERM_ATOL}"
-        )
-    w, v = np.linalg.eigh(0.5 * (a.mat + a.mat.conj().T))
+    w, v = np.linalg.eigh(_hermitian_part(a))
     return w, v
 
 
 def min_eig(a: DenseOperator) -> float:
     """Smallest eigenvalue of a Hermitian operator."""
+    return float(np.linalg.eigvalsh(_hermitian_part(a))[0])
+
+
+def _hermitian_part(a: DenseOperator) -> np.ndarray:
+    """``(A + A^dagger) / 2`` of an operator Hermitian to within ``HERM_ATOL``."""
     defect = a.hermiticity_defect()
     if defect >= HERM_ATOL:
         raise ValueError(
             f"operator is not Hermitian: max |A - A^dagger| = {defect:.3e} >= {HERM_ATOL}"
         )
-    return float(np.linalg.eigvalsh(0.5 * (a.mat + a.mat.conj().T))[0])
+    return 0.5 * (a.mat + a.mat.conj().T)
 
 
 def _validate_subset(subset, num_qubits: int) -> tuple[int, ...]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -35,19 +35,16 @@ from scipy.optimize import linprog, minimize
 from .linalg import (
     DenseOperator,
     StateVector,
-    identity,
-    op_power,
-    partial_transpose,
+    _kron_all,
     schmidt_max_sq,
 )
 from .symmetric import (
-    collective_j,
     dicke,
     is_permutation_invariant,
     permute_qubits,
     spin_blocks,
 )
-from .witnesses import BasisTerm, NoiseModel, WitnessSpec
+from .witnesses import BasisTerm, NoiseModel, WitnessSpec, _wi3_objective, _wi3_penalty
 
 __all__ = [
     "SolverConfig",
@@ -852,7 +849,7 @@ def max_symmetric_product(
         qubit = np.array(
             [math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)]
         )
-        state = reduce(np.kron, [qubit] * n)
+        state = _kron_all([qubit] * n)
         return -float(np.real(state.conj() @ (mat @ state)))
 
     best = -math.inf
@@ -906,21 +903,17 @@ def q_scan(
     if num_qubits > PPT_MAX_QUBITS:
         raise ValueError(f"PPT maximization is limited to {PPT_MAX_QUBITS} qubits")
     cfg = config or SolverConfig()
-    target = dicke(num_qubits, excitations)
-    rho_t = target.density()
+    rho_t = dicke(num_qubits, excitations).density()
     dim = 2**num_qubits
-    jx2 = op_power(collective_j(num_qubits, "x"), 2)
-    jy2 = op_power(collective_j(num_qubits, "y"), 2)
-    jz = collective_j(num_qubits, "z")
-    jz_mean = float(np.real(jz.expectation(target)))
-    penalty = op_power(jz - jz_mean * identity(num_qubits), 2)
+    base = _wi3_objective(num_qubits, excitations, 0.0)
+    penalty = _wi3_penalty(num_qubits, excitations)
 
     rows = []
     for q in q_grid:
         q = float(q)
         if q < 0:
             raise ValueError("q must be nonnegative")
-        m = jx2 + jy2 - q * penalty if q else jx2 + jy2
+        m = base - q * penalty if q else base
         c_q = max_ppt_all(m, cfg).value
         value_target = c_q - float(np.real(m.expectation(rho_t)))
         value_white = c_q - float(np.real(m.trace())) / dim

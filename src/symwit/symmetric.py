@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DenseOperator, StateVector, _SIGMA
+from .linalg import DenseOperator, StateVector, _SIGMA, _kron_all
 
 PI_ATOL = 1e-10
 
@@ -44,7 +44,7 @@ def w_state(num_qubits: int) -> StateVector:
 def _embed_single(op2: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
     left = np.eye(2 ** (qubit - 1), dtype=complex)
     right = np.eye(2 ** (num_qubits - qubit), dtype=complex)
-    return np.kron(np.kron(left, op2), right)
+    return _kron_all([left, op2, right])
 
 
 def collective_j(num_qubits: int, axis) -> DenseOperator:

@@ -268,6 +268,26 @@ def wi3_witness(
     )
 
 
+def _wi3_objective(num_qubits: int, excitations: int | None, q: float) -> DenseOperator:
+    """The operator ``Jx^2 + Jy^2 - q (Jz - <Jz>)^2`` of the :func:`wi3_witness` family.
+
+    Its maximum over biseparable (or PPT) states is the witness constant
+    ``c``.  ``<Jz>`` is taken on the Dicke target ``|D_N^(m)>``, so
+    ``excitations`` is needed only when ``q`` is nonzero.
+    """
+    objective = collective_power(num_qubits, "x", 2) + collective_power(num_qubits, "y", 2)
+    if q:
+        objective = objective - q * _wi3_penalty(num_qubits, excitations)
+    return objective
+
+
+def _wi3_penalty(num_qubits: int, excitations: int) -> DenseOperator:
+    """The penalty ``(Jz - <Jz>)^2`` of :func:`_wi3_objective`."""
+    jz = collective_j(num_qubits, "z")
+    jz_mean = jz.expectation(dicke(num_qubits, excitations))
+    return op_power(jz - jz_mean * identity(num_qubits), 2)
+
+
 def _largest_valid_alpha(
     witness: np.ndarray, projector_witness_mat: np.ndarray, hi: float = 10.0
 ) -> float | None:
@@ -375,7 +395,9 @@ def _wp3_d84() -> WitnessSpec:
         0.0038612, -0.0052555, 0.0015016, -0.000107266,
         3.124, -1.07699, 0.11916, -0.0038992,
     )
-    return _with_derived_alpha(WitnessSpec("WP3_D84", 8, basis, coeffs, dicke(8, 4)))
+    # No alpha certificate exists for these printed coefficients: the best
+    # slack min-eig(W - alpha W_P) is about -2.5e-4, near alpha = 2.389.
+    return WitnessSpec("WP3_D84", 8, basis, coeffs, dicke(8, 4))
 
 
 def _wp3_d105() -> WitnessSpec:
@@ -403,14 +425,7 @@ def _wi3_d41(q: float) -> WitnessSpec:
     else:
         from .optimize import max_ppt_all  # deferred to avoid an import cycle
 
-        target = dicke(4, 1)
-        jz_mean = collective_j(4, "z").expectation(target.density())
-        shifted = collective_j(4, "z") + (-jz_mean) * identity(4)
-        objective = (
-            collective_power(4, "x", 2) + collective_power(4, "y", 2)
-            - q * op_power(shifted, 2)
-        )
-        c = max_ppt_all(objective).value
+        c = max_ppt_all(_wi3_objective(4, 1, q)).value
     return wi3_witness(4, 1, c, q, name="WI3_D41")
 
 

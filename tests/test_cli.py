@@ -189,9 +189,18 @@ def test_ppt_objective_size_is_checked_before_allocation(capsys, monkeypatch):
     def no_operators(*args, **kwargs):
         raise AssertionError("a dense operator was built before the size check")
 
-    for module in ("symwit.cli", "symwit.optimize"):
-        monkeypatch.setattr(f"{module}.collective_j", no_operators)
-        monkeypatch.setattr(f"{module}.dicke", no_operators)
+    for name in ("collective_j", "collective_power", "dicke"):
+        monkeypatch.setattr(f"symwit.witnesses.{name}", no_operators)
+    monkeypatch.setattr("symwit.optimize.dicke", no_operators)
     assert main(["ppt-max", "--n", "12"]) == 3
     assert main(["q-scan", "--n", "12", "--m", "6", "--values", "0"]) == 3
     assert "8 qubits" in capsys.readouterr().err
+
+
+def test_malformed_schedule_exits_3(capsys, tmp_path):
+    bad = tmp_path / "bad.schedule.json"
+    bad.write_text('{"N": 4, "terms": [{"coeff": 1, "n": [1, 0], "scale": 1, '
+                   '"identity_weight": 0}]}')
+    code = main(["simulate", "--witness", "WP_D42", "--shots", "10", "--schedule", str(bad)])
+    assert code == 3
+    assert "malformed" in capsys.readouterr().err

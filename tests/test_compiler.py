@@ -29,7 +29,7 @@ def test_setting_canonicalization():
     assert Setting.from_ints((0, -3, 0)).label == (0, 1, 0)
     a = Setting.from_ints((1, 1, 0))
     b = Setting.from_vector((1 / math.sqrt(2), 1 / math.sqrt(2), 0.0))
-    assert a.matches(b)
+    assert a == b
     with pytest.raises(ValueError):
         Setting.from_ints((0, 0, 0))
 
@@ -134,6 +134,18 @@ def test_schedule_merging_and_pruning():
     assert merged.num_settings == 1
 
 
+def test_schedule_merges_terms_that_differ_in_the_last_bit():
+    from symwit.compiler import LocalTerm
+
+    s = Setting.from_ints((1, 0, 0))
+    merged = Schedule(2, [
+        LocalTerm(0.5, s, 0.3, 0.1),
+        LocalTerm(0.25, s, np.nextafter(0.3, 1.0), np.nextafter(0.1, 0.0)),
+    ]).merged()
+    assert len(merged.terms) == 1
+    assert float(merged.terms[0].coefficient) == 0.75
+
+
 def test_schedule_json_round_trip_is_stable():
     schedule = canned_decomposition("D42")
     text = schedule.to_json()
@@ -143,5 +155,23 @@ def test_schedule_json_round_trip_is_stable():
 
 
 def test_schedule_from_json_rejects_garbage():
-    with pytest.raises(ValueError):
-        Schedule.from_json("{}")
+    term = '{"coeff": 1, "n": %s, "scale": 1, "identity_weight": 0}'
+    for text in (
+        "{}",
+        '{"N": 3, "terms": [%s]}' % (term % "5"),
+        '{"N": 3, "terms": [%s]}' % (term % "[1, 0]"),
+        '{"N": 3, "terms": 7}',
+    ):
+        with pytest.raises(ValueError):
+            Schedule.from_json(text)
+
+
+def test_schedule_from_json_absorbs_flipped_directions():
+    sigma = (pauli("x").mat, pauli("y").mat, pauli("z").mat)
+    text = '{"N": 3, "terms": [{"coeff": 0.7, "n": %s, "scale": 1.5, "identity_weight": 0.25}]}'
+    for n_vec in ([0, 0, -1], [-0.3, 0.5, -0.7]):
+        unit = np.asarray(n_vec, dtype=float) / np.linalg.norm(n_vec)
+        local = 1.5 * sum(u * s for u, s in zip(unit, sigma)) + 0.25 * np.eye(2)
+        want = 0.7 * np.kron(np.kron(local, local), local)
+        back = Schedule.from_json(text % n_vec)
+        assert np.max(np.abs(back.reconstruct().mat - want)) < 1e-12

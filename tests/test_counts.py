@@ -103,7 +103,7 @@ def test_ndjson_sign_convention_flip():
     a = CountsDataset.from_ndjson(line)
     b = CountsDataset.from_ndjson(flipped)
     assert a.records[0].outcomes == b.records[0].outcomes == "+-"
-    assert a.records[0].setting.matches(b.records[0].setting)
+    assert a.records[0].setting == b.records[0].setting
 
 
 def test_ndjson_rejects_malformed_lines():

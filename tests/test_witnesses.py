@@ -185,3 +185,12 @@ def test_expectation_rejects_unnormalized():
     w = catalog("WP_D41")
     with pytest.raises(ValueError):
         expectation(w, DenseOperator(np.eye(16)))
+
+
+def test_wp3_d84_has_no_alpha_certificate():
+    from symwit.witnesses import _largest_valid_alpha
+
+    spec = catalog("WP3_D84")
+    assert spec.alpha is None
+    wp = schmidt_max_sq(spec.target) * np.eye(spec.dense.dim) - spec.target.density().mat
+    assert _largest_valid_alpha(spec.dense.hermitized().mat, wp) is None
