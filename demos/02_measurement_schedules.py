@@ -36,7 +36,7 @@ for n in range(2, 11):
 # compile a catalog witness: few collective terms -> few settings
 # ---------------------------------------------------------------------------
 w = catalog("WP3_D63")
-schedule = compile_operator(w.dense).merged()
+schedule = compile_operator(w.dense)
 print(f"\nWP3_D63 compiles to {schedule.num_settings} settings "
       f"({len(schedule.terms)} terms):")
 for setting in schedule.settings:

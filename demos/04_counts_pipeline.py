@@ -29,7 +29,7 @@ from symwit import (
 # prepare a noisy state and the witness schedule
 # ---------------------------------------------------------------------------
 w = catalog("WP3_D63")
-schedule = compile_operator(w.dense).merged()
+schedule = compile_operator(w.dense)
 print(f"WP3_D63 schedule: {schedule.num_settings} settings, "
       f"{len(schedule.terms)} terms")
 

@@ -111,8 +111,7 @@ def _table(args: argparse.Namespace, header: list[str], rows) -> None:
 
 
 def _witness(args: argparse.Namespace) -> WitnessSpec:
-    q = getattr(args, "q", None)
-    return catalog(args.witness, q=q) if q is not None else catalog(args.witness)
+    return catalog(args.witness, q=getattr(args, "q", None))
 
 
 def _noise_model(witness: WitnessSpec, kind: str) -> NoiseModel:
@@ -137,6 +136,13 @@ def _ppt_objective(args: argparse.Namespace) -> DenseOperator:
     if args.q and args.m is None:
         raise ValueError("--q requires --m to fix <J_z> at the Dicke target")
     return _wi3_objective(n, args.m, args.q)
+
+
+def _read_schedule(args: argparse.Namespace) -> Schedule | None:
+    if not args.schedule:
+        return None
+    with open(args.schedule, encoding="utf-8") as fh:
+        return Schedule.from_json(fh.read())
 
 
 def _parse_bipartition(raw: str) -> tuple[int, ...]:
@@ -168,11 +174,7 @@ def _cmd_dicke(args, cfg):
 
 
 def _cmd_compile(args, cfg):
-    witness = _witness(args)
-    schedule = compile_operator(witness.dense)
-    if not args.no_merge:
-        schedule = schedule.merged()
-    _write(args, schedule.to_json())
+    _write(args, compile_operator(_witness(args).dense).to_json())
     return 0
 
 
@@ -247,17 +249,13 @@ def _cmd_ppt_max(args, cfg):
     if args.bipartition:
         part = _parse_bipartition(args.bipartition)
         result = max_ppt(PptProblem(objective, part), cfg)
-        payload = {"value": result.value, "bipartition": list(part),
-                   "report": result.report.to_json()}
-        converged = result.report.converged
     else:
         result = max_ppt_all(objective, cfg)
-        payload = {"value": result.value, "bipartition": list(result.bipartition),
-                   "report": result.report.to_json()}
-        converged = result.report.converged
-    if not converged:
+        part = result.bipartition
+    if not result.report.converged:
         raise OptimizationError("interior-point solver did not converge")
-    _dump_json(args, payload)
+    _dump_json(args, {"value": result.value, "bipartition": list(part),
+                      "report": result.report.to_json()})
     return 0
 
 
@@ -266,11 +264,9 @@ def _cmd_bisep_max(args, cfg):
     if args.bipartition:
         part = _parse_bipartition(args.bipartition)
         value = max_bisep_seesaw(objective, part, restarts=args.restarts, config=cfg)
-        payload = {"value": value, "bipartition": list(part)}
     else:
-        result = max_bisep_all(objective, restarts=args.restarts, config=cfg)
-        payload = {"value": result.value, "bipartition": list(result.bipartition)}
-    _dump_json(args, payload)
+        value, part = max_bisep_all(objective, restarts=args.restarts, config=cfg)
+    _dump_json(args, {"value": value, "bipartition": list(part)})
     return 0
 
 
@@ -304,11 +300,7 @@ def _cmd_fidelity_curve(args, cfg):
 
 def _cmd_simulate(args, cfg):
     witness = _witness(args)
-    if args.schedule:
-        with open(args.schedule, encoding="utf-8") as fh:
-            schedule = Schedule.from_json(fh.read())
-    else:
-        schedule = compile_operator(witness.dense).merged()
+    schedule = _read_schedule(args) or compile_operator(witness.dense)
     noise = _noise_model(witness, args.noise)
     if args.p == 0.0:
         state = witness.target
@@ -323,13 +315,8 @@ def _cmd_eval_counts(args, cfg):
     witness = _witness(args)
     with open(args.counts, encoding="utf-8") as fh:
         dataset = CountsDataset.from_ndjson(fh.read())
-    if args.schedule:
-        with open(args.schedule, encoding="utf-8") as fh:
-            schedule = Schedule.from_json(fh.read())
-    else:
-        schedule = compile_operator(witness.dense).merged()
     result = evaluate_witness_counts(
-        witness, dataset, schedule=schedule,
+        witness, dataset, schedule=_read_schedule(args),
         bootstrap_samples=args.bootstrap, seed=cfg.seed,
     )
     _dump_json(args, result.to_json())
@@ -358,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_globals(parser, root=True)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, handler, help_text, group=sub):
+        p = group.add_parser(name, help=help_text)
         _add_globals(p, root=False)
         p.set_defaults(handler=handler)
         return p
@@ -370,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("compile", _cmd_compile, "compile a witness into a measurement schedule")
     _witness_flags(p)
-    p.add_argument("--no-merge", action="store_true", help="keep raw expansion terms")
 
     p = add("settings-bound", _cmd_settings_bound,
             "worst-case local-setting counts for N-qubit PI observables")
@@ -381,25 +367,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     wit = sub.add_parser("witness", help="inspect or evaluate catalog witnesses")
     wsub = wit.add_subparsers(dest="subcommand", required=True, metavar="ACTION")
-    p = wsub.add_parser("show", help="print the witness as JSON")
-    _add_globals(p, root=False)
-    p.set_defaults(handler=_cmd_witness_show)
+    p = add("show", _cmd_witness_show, "print the witness as JSON", wsub)
     _witness_flags(p)
-    p = wsub.add_parser("eval", help="expectation value on a noisy target state")
-    _add_globals(p, root=False)
-    p.set_defaults(handler=_cmd_witness_eval)
+    p = add("eval", _cmd_witness_eval, "expectation value on a noisy target state", wsub)
     _witness_flags(p)
     p.add_argument("--noise", choices=("white", "nonwhite"), default="white")
     p.add_argument("--p", type=float, default=0.0, help="noise fraction in [0, 1]")
-    p = wsub.add_parser("tolerance", help="critical noise fraction of a witness")
-    _add_globals(p, root=False)
-    p.set_defaults(handler=_cmd_tolerance)
-    _witness_flags(p)
-    p.add_argument("--noise", choices=("white", "nonwhite"), default="white")
-
-    p = add("tolerance", _cmd_tolerance, "critical noise fraction of a witness")
-    _witness_flags(p)
-    p.add_argument("--noise", choices=("white", "nonwhite"), default="white")
+    for group in (wsub, sub):  # ``witness tolerance`` and ``tolerance``
+        p = add("tolerance", _cmd_tolerance, "critical noise fraction of a witness", group)
+        _witness_flags(p)
+        p.add_argument("--noise", choices=("white", "nonwhite"), default="white")
 
     p = add("optimize-witness", _cmd_optimize_witness,
             "fit witness coefficients over collective-power bases")

@@ -136,6 +136,13 @@ class Setting:
         return f"Setting({self.unit[0]:.6f}, {self.unit[1]:.6f}, {self.unit[2]:.6f})"
 
 
+def _json_int(raw) -> int:
+    """An integer read from JSON: an int or an integral float, never a bool."""
+    if type(raw) is int or type(raw) is float and raw.is_integer():
+        return int(raw)
+    raise ValueError(f"expected an integer, got {raw!r}")
+
+
 def _dot(vec, setting: Setting) -> float:
     return sum(float(a) * u for a, u in zip(vec, setting.unit))
 
@@ -281,7 +288,7 @@ class Schedule:
         """Read :meth:`to_json` output; a direction may be given with either sign."""
         payload = json.loads(text)
         try:
-            n = int(payload["N"])
+            n = _json_int(payload["N"])
             terms = []
             for entry in payload["terms"]:
                 setting, flipped = Setting.parse(entry["n"], keep_unit=True)

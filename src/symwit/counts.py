@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import LocalTerm, Schedule, Setting, compile_operator
+from .compiler import LocalTerm, Schedule, Setting, _json_int, compile_operator
 from .linalg import DenseOperator, StateVector, _SIGMA, _kron_all
-from .witnesses import WitnessSpec
+from .witnesses import WitnessSpec, fidelity_bound
 
 __all__ = [
     "CountRecord",
@@ -117,7 +117,7 @@ class CountsDataset:
                 entry = json.loads(line)
                 setting, flipped = Setting.parse(entry["setting"], keep_unit=True)
                 outcomes = str(entry["outcomes"])
-                count = int(entry["count"])
+                count = _json_int(entry["count"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed counts record on line {lineno}: {exc}") from None
             if setting is None:
@@ -239,8 +239,7 @@ def simulate_counts(
     isolation.
     """
     n = schedule.num_qubits
-    dim = state.dim
-    if dim != 2**n:
+    if state.num_qubits != n:
         raise ValueError("state dimension does not match the schedule")
     if isinstance(state, DenseOperator):
         if not state.is_hermitian(1e-10) or abs(state.trace() - 1.0) > 1e-9:
@@ -294,22 +293,6 @@ def evaluate_counts(
     groups = dataset.grouped()
     group_index = {setting: gi for gi, (setting, _, _) in enumerate(groups)}
     resamples: dict[int, np.ndarray] = {}
-    totals = [int(counts.sum()) for _, _, counts in groups]
-
-    def group_for(setting: Setting) -> int:
-        if setting not in group_index:
-            raise ValueError(f"no counts found for setting {setting!r}")
-        return group_index[setting]
-
-    def resample(gi: int) -> np.ndarray:
-        if gi not in resamples:
-            _, _, counts = groups[gi]
-            total = totals[gi]
-            if total == 0:
-                raise ValueError(f"setting {groups[gi][0]!r} has zero total shots")
-            rng = np.random.default_rng(seed + gi)
-            resamples[gi] = rng.multinomial(total, counts / total, size=bootstrap_samples)
-        return resamples[gi]
 
     boot = np.zeros(max(bootstrap_samples, 1))
     per_term = []
@@ -324,16 +307,21 @@ def evaluate_counts(
                 TermEstimate(None, term.scale, term.identity_weight, coeff, mean, contribution)
             )
         else:
-            gi = group_for(term.setting)
+            gi = group_index.get(term.setting)
+            if gi is None:
+                raise ValueError(f"no counts found for setting {term.setting!r}")
             _, patterns, counts = groups[gi]
-            total = totals[gi]
+            total = int(counts.sum())
             if total == 0:
                 raise ValueError(f"setting {term.setting!r} has zero total shots")
             factors = _term_factors(term, patterns)
             mean = float(factors @ counts) / total
             contribution = coeff * mean
             if bootstrap_samples > 0:
-                boot += coeff * (resample(gi) @ factors) / total
+                if gi not in resamples:  # one resample per setting, drawn when first used
+                    rng = np.random.default_rng(seed + gi)
+                    resamples[gi] = rng.multinomial(total, counts / total, size=bootstrap_samples)
+                boot += coeff * (resamples[gi] @ factors) / total
             per_term.append(
                 TermEstimate(
                     tuple(term.setting.json_entry()),
@@ -366,20 +354,44 @@ def evaluate_witness_counts(
 
     The witness is compiled into a measurement schedule unless one is given
     (pass the schedule used to take the data to keep term bookkeeping
-    identical).  The fidelity bound ``lambda_sq - value / alpha`` and its
+    identical); a given schedule must realize the witness, else
+    :class:`ValueError`.  The fidelity bound of :func:`fidelity_bound` and its
     propagated error are filled when the witness carries a certificate.
     """
     if schedule is None:
         schedule = compile_operator(witness.dense)
+    else:
+        _check_realizes(schedule, witness.dense)
     base = evaluate_counts(schedule, dataset, bootstrap_samples=bootstrap_samples, seed=seed)
-    if witness.alpha is None or witness.lambda_sq is None:
+    if witness.alpha is None:
         return base
-    bound = float(witness.lambda_sq) - base.witness_value / float(witness.alpha)
-    bound_err = base.standard_error / float(witness.alpha)
     return EvaluationResult(
         witness_value=base.witness_value,
         standard_error=base.standard_error,
-        fidelity_bound=bound,
-        fidelity_bound_error=bound_err,
+        fidelity_bound=fidelity_bound(witness, base.witness_value),
+        fidelity_bound_error=base.standard_error / float(witness.alpha),
         per_term=base.per_term,
     )
+
+
+def _check_realizes(schedule: Schedule, operator: DenseOperator) -> None:
+    """Raise :class:`ValueError` unless ``schedule`` realizes ``operator`` to 1e-8.
+
+    Compares values on 4 random product states from a fixed seed, in time
+    linear in the terms: a Hermitian operator that vanishes on every product
+    state is zero, so a schedule for another operator shows on random ones.
+    """
+    n = schedule.num_qubits
+    if n != operator.num_qubits:
+        raise ValueError(f"schedule has {n} qubits, the witness {operator.num_qubits}")
+    rng = np.random.default_rng(0)
+    qubits = rng.standard_normal((4, n, 2)) + 1j * rng.standard_normal((4, n, 2))
+    qubits /= np.linalg.norm(qubits, axis=2, keepdims=True)
+    states = np.stack([_kron_all(factors) for factors in qubits], axis=1)
+    want = np.real(np.sum(states.conj() * (operator.mat @ states), axis=0))
+    factors = np.array([term.local_matrix() for term in schedule.terms]).reshape(-1, 2, 2)
+    values = np.einsum("sni,tij,snj->tsn", qubits.conj(), factors, qubits).prod(axis=2)
+    got = np.array([float(term.coefficient) for term in schedule.terms]) @ np.real(values)
+    error = float(np.max(np.abs(got - want)))
+    if error > 1e-8 * max(1.0, float(np.max(np.abs(want)))):
+        raise ValueError(f"the schedule does not realize the witness (error {error:.3e})")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +44,8 @@ from .symmetric import (
     permute_qubits,
     spin_blocks,
 )
-from .witnesses import BasisTerm, NoiseModel, WitnessSpec, _wi3_objective, _wi3_penalty
+from .witnesses import (BasisTerm, NoiseModel, WitnessSpec, _critical_noise,
+                        _projector_witness_matrix, _wi3_objective, _wi3_penalty)
 
 __all__ = [
     "SolverConfig",
@@ -197,11 +198,11 @@ class WitnessOptimizationProblem:
             raise ValueError("witness basis must not be empty")
         if self.noise.rho_noise.dim != self.target.dim:
             raise ValueError("noise model dimension does not match the target")
-        flats = np.stack([op.mat.ravel() for op in self.dense_basis])
+        flats = self.basis_stack.reshape(len(self.basis), -1)
         norms = np.linalg.norm(flats, axis=1)
         if np.any(norms == 0):
             raise ValueError("witness basis contains a zero operator")
-        gram = np.real((flats / norms[:, None]).conj() @ (flats / norms[:, None]).T)
+        gram = np.real(flats.conj() @ flats.T) / np.outer(norms, norms)
         if float(np.linalg.eigvalsh(gram)[0]) < 1e-10:
             raise ValueError("witness basis operators are linearly dependent")
 
@@ -209,26 +210,18 @@ class WitnessOptimizationProblem:
     def num_qubits(self) -> int:
         return self.target.num_qubits
 
-    @property
-    def dense_basis(self) -> tuple[DenseOperator, ...]:
-        cached = self.__dict__.get("_dense_basis")
-        if cached is None:
-            cached = tuple(
-                term.realize(self.num_qubits, self.target) for term in self.basis
-            )
-            for op in cached:
-                if not op.is_hermitian(1e-10):
-                    raise ValueError("witness basis operators must be Hermitian")
-            self.__dict__["_dense_basis"] = cached
-        return cached
-
-    @property
-    def lambda_sq(self) -> float:
-        return schmidt_max_sq(self.target)
-
-    def projector_witness_matrix(self) -> np.ndarray:
-        proj = np.outer(self.target.vec, self.target.vec.conj())
-        return self.lambda_sq * np.eye(self.target.dim) - proj
+    @cached_property
+    def basis_stack(self) -> np.ndarray:
+        """The realized basis operators, one read-only ``(len(basis), dim, dim)`` array."""
+        dim = self.target.dim
+        stack = np.empty((len(self.basis), dim, dim), dtype=complex)
+        for k, term in enumerate(self.basis):
+            op = term.realize(self.num_qubits, self.target)
+            if not op.is_hermitian(1e-10):
+                raise ValueError("witness basis operators must be Hermitian")
+            stack[k] = op.mat
+        stack.setflags(write=False)
+        return stack
 
 
 def optimize_witness(
@@ -244,10 +237,11 @@ def optimize_witness(
     :class:`OptimizationError` if no witness of the requested form exists.
     """
     cfg = config or SolverConfig()
-    mats = np.stack([op.mat for op in problem.dense_basis])
+    mats = problem.basis_stack
     nb = mats.shape[0]
     dim = problem.target.dim
-    wp = problem.projector_witness_matrix()
+    lambda_sq = schmidt_max_sq(problem.target)
+    wp = _projector_witness_matrix(problem.target, lambda_sq)
     psi = problem.target.vec
 
     t_vec = np.real(np.einsum("i,kij,j->k", psi.conj(), mats, psi))
@@ -272,14 +266,6 @@ def optimize_witness(
     gap = math.inf
     lp_obj = -math.inf
     iterations = 0
-
-    def add_cuts(vectors: np.ndarray) -> None:
-        for col in range(vectors.shape[1]):
-            v = vectors[:, col]
-            row = np.empty(nb + 1)
-            row[:nb] = np.real(np.einsum("i,kij,j->k", v.conj(), mats, v))
-            row[nb] = -np.real(v.conj() @ (wp @ v))
-            cut_rows.append(row)
 
     for _ in range(2000):
         a_ub = -np.array(cut_rows) if cut_rows else None
@@ -311,10 +297,16 @@ def optimize_witness(
             gap = best_obj - lp_obj
             break
 
-        add_cuts(vecs[:, vals < -1e-12][:, :4])
+        for v in vecs[:, vals < -1e-12][:, :4].T:  # eigenvector cuts
+            row = np.empty(nb + 1)
+            row[:nb] = np.real(np.einsum("i,kij,j->k", v.conj(), mats, v))
+            row[nb] = -np.real(v.conj() @ (wp @ v))
+            cut_rows.append(row)
 
         if has_identity:
-            delta = -lam_min + 1e-10 * max(1.0, float(np.linalg.norm(slack, 2)))
+            # the spectral norm of the Hermitian slack, from the eigenvalues at hand
+            norm = max(abs(lam_min), abs(float(vals[-1])))
+            delta = -lam_min + 1e-10 * max(1.0, norm)
             if delta < 0.999:
                 coeffs2 = (coeffs + delta * e_vec) / (1.0 - delta)
                 alpha2 = alpha / (1.0 - delta)
@@ -333,8 +325,6 @@ def optimize_witness(
         )
 
     coeffs, alpha = best_point
-    slack = _herm(np.tensordot(coeffs, mats, axes=(0, 0)) - alpha * wp)
-    min_slack = float(np.linalg.eigvalsh(slack)[0])
     spec = WitnessSpec(
         name=problem.name,
         num_qubits=problem.num_qubits,
@@ -342,14 +332,14 @@ def optimize_witness(
         coefficients=tuple(float(c) for c in coeffs),
         target=problem.target,
         alpha=float(alpha),
-        lambda_sq=problem.lambda_sq,
+        lambda_sq=lambda_sq,
         alpha_source="optimized",
     )
     report = SolverReport(
         optimum=best_obj,
         primal_residual=float(abs(t_vec @ coeffs + 1.0)),
         dual_residual=float(gap),
-        min_eig_slack=min_slack,
+        min_eig_slack=spec.certificate_slack,
         iterations=iterations,
         converged=bool(gap <= cfg.cut_tol),
     )
@@ -917,10 +907,7 @@ def q_scan(
         c_q = max_ppt_all(m, cfg).value
         value_target = c_q - float(np.real(m.expectation(rho_t)))
         value_white = c_q - float(np.real(m.trace())) / dim
-        if value_target < 0 and value_white > value_target:
-            tolerance = min(1.0, value_target / (value_target - value_white))
-        else:
-            tolerance = 0.0
+        tolerance = _critical_noise(value_target, value_white) if value_target < 0 else 0.0
         rows.append((q, c_q, tolerance))
 
     arr = np.array(rows, dtype=float)

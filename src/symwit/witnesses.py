@@ -3,6 +3,11 @@
 Provides projector witnesses, the catalog of collective-observable witnesses
 (two- and three-setting, projector-derived and independent), noise models,
 white/non-white noise tolerances, fidelity lower bounds and JSON round trips.
+
+The fidelity certificate ``W - alpha (lambda_sq 1 - |target><target|) >= 0``
+(:attr:`WitnessSpec.certificate_slack`), the bound :func:`fidelity_bound` and
+the tolerance :func:`_critical_noise` live here only; :mod:`symwit.optimize`
+and :mod:`symwit.counts` call them.
 """
 from __future__ import annotations
 
@@ -118,12 +123,9 @@ class WitnessSpec:
                 raise ValueError("alpha must be positive")
             if self.lambda_sq is None:
                 raise ValueError("alpha requires lambda_sq to define the projector witness")
-            slack = float(np.linalg.eigvalsh(self._certificate_matrix(self.alpha))[0])
-            if slack < -LMI_ATOL:
-                raise ValueError(
-                    f"W - alpha*W_P has negative eigenvalue {slack:.3e} for "
-                    f"alpha={self.alpha}"
-                )
+            if self.certificate_slack < -LMI_ATOL:
+                raise ValueError(f"W - alpha*W_P has negative eigenvalue "
+                                 f"{self.certificate_slack:.3e} for alpha={self.alpha}")
 
     @cached_property
     def dense(self) -> DenseOperator:
@@ -133,15 +135,13 @@ class WitnessSpec:
             total += float(coeff) * term.realize(self.num_qubits, self.target).mat
         return DenseOperator(total).hermitized()
 
-    def projector_witness_part(self) -> DenseOperator:
-        """The projector witness ``lambda_sq * 1 - |target><target|``."""
-        if self.lambda_sq is None:
-            raise ValueError("lambda_sq is not set")
-        return self.lambda_sq * identity(self.num_qubits) - self.target.density()
-
-    def _certificate_matrix(self, alpha: float) -> np.ndarray:
-        diff = self.dense - alpha * self.projector_witness_part()
-        return diff.hermitized().mat
+    @cached_property
+    def certificate_slack(self) -> float | None:
+        """``min-eig(W - alpha * W_P)``, or None when no alpha is set."""
+        if self.alpha is None:
+            return None
+        wp = _projector_witness_matrix(self.target, float(self.lambda_sq))
+        return _certificate_slack(self.dense.mat, wp, float(self.alpha))
 
     # -- serialization ----------------------------------------------------
     def to_json(self) -> str:
@@ -288,6 +288,16 @@ def _wi3_penalty(num_qubits: int, excitations: int) -> DenseOperator:
     return op_power(jz - jz_mean * identity(num_qubits), 2)
 
 
+def _projector_witness_matrix(target: StateVector, lambda_sq: float) -> np.ndarray:
+    """The projector witness ``W_P = lambda_sq * 1 - |target><target|``."""
+    return lambda_sq * np.eye(target.dim) - np.outer(target.vec, target.vec.conj())
+
+
+def _certificate_slack(witness: np.ndarray, projector_witness: np.ndarray, alpha: float) -> float:
+    """``min-eig(W - alpha * W_P)``; the certificate holds when it is >= -LMI_ATOL."""
+    return float(np.linalg.eigvalsh(witness - alpha * projector_witness)[0])
+
+
 def _largest_valid_alpha(
     witness: np.ndarray, projector_witness_mat: np.ndarray, hi: float = 10.0
 ) -> float | None:
@@ -298,7 +308,7 @@ def _largest_valid_alpha(
     """
 
     def slack(alpha: float) -> float:
-        return float(np.linalg.eigvalsh(witness - alpha * projector_witness_mat)[0])
+        return _certificate_slack(witness, projector_witness_mat, alpha)
 
     res = minimize_scalar(
         lambda a: -slack(a), bounds=(0.0, hi), method="bounded", options={"xatol": 1e-4}
@@ -321,8 +331,7 @@ def _largest_valid_alpha(
 def _with_derived_alpha(spec: WitnessSpec) -> WitnessSpec:
     """Attach the largest certifiable alpha to ``spec`` (if one exists)."""
     lam_sq = schmidt_max_sq(spec.target)
-    wp = lam_sq * np.eye(spec.dense.dim) - spec.target.density().mat
-    alpha = _largest_valid_alpha(spec.dense.hermitized().mat, wp)
+    alpha = _largest_valid_alpha(spec.dense.mat, _projector_witness_matrix(spec.target, lam_sq))
     if alpha is None:
         return spec
     return WitnessSpec(
@@ -493,7 +502,11 @@ def noise_tolerance(
     value = expectation(witness, rho)
     if value >= 0:
         raise ValueError(f"witness value {value!r} on rho is not negative")
-    value_noise = expectation(witness, noise.rho_noise)
+    return _critical_noise(value, expectation(witness, noise.rho_noise))
+
+
+def _critical_noise(value: float, value_noise: float) -> float:
+    """Noise fraction ``v / (v - v_noise)``, capped at 1, at which ``(1-p) v + p v_noise`` is 0."""
     if value_noise <= value:
         return 1.0
     return min(1.0, value / (value - value_noise))

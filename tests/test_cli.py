@@ -204,3 +204,25 @@ def test_malformed_schedule_exits_3(capsys, tmp_path):
     code = main(["simulate", "--witness", "WP_D42", "--shots", "10", "--schedule", str(bad)])
     assert code == 3
     assert "malformed" in capsys.readouterr().err
+
+
+def test_eval_counts_checks_the_schedule_realizes_the_witness(capsys, tmp_path):
+    canned = tmp_path / "d63.schedule.json"  # realizes 64 |D63><D63|, not WP_D63
+    compiled = tmp_path / "wp_d63.schedule.json"
+    counts = tmp_path / "counts.ndjson"
+    assert main(["canned", "--name", "D63", "--out", str(canned)]) == 0
+    assert main(["compile", "--witness", "WP_D63", "--out", str(compiled)]) == 0
+    for schedule, want in ((canned, 3), (compiled, 0)):
+        assert main(["simulate", "--witness", "WP_D63", "--schedule", str(schedule),
+                     "--p", "0.2", "--shots", "200", "--out", str(counts)]) == 0
+        code = main(["eval-counts", "--witness", "WP_D63", "--schedule", str(schedule),
+                     "--counts", str(counts), "--bootstrap", "10"])
+        assert code == want
+    assert "does not realize the witness" in capsys.readouterr().err
+
+
+def test_non_integer_count_exits_3(capsys, tmp_path):
+    counts = tmp_path / "counts.ndjson"
+    counts.write_text('{"setting": [0, 0, 1], "outcomes": "++++", "count": 1e400}\n')
+    assert main(["eval-counts", "--witness", "WP_D42", "--counts", str(counts)]) == 3
+    assert "malformed counts record" in capsys.readouterr().err

@@ -161,6 +161,9 @@ def test_schedule_from_json_rejects_garbage():
         '{"N": 3, "terms": [%s]}' % (term % "5"),
         '{"N": 3, "terms": [%s]}' % (term % "[1, 0]"),
         '{"N": 3, "terms": 7}',
+        '{"N": 1e400, "terms": []}',
+        '{"N": 3.7, "terms": []}',
+        '{"N": true, "terms": []}',
     ):
         with pytest.raises(ValueError):
             Schedule.from_json(text)

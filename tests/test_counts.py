@@ -113,6 +113,10 @@ def test_ndjson_rejects_malformed_lines():
         CountsDataset.from_ndjson('{"outcomes": "++", "count": 1}')
     with pytest.raises(ValueError):
         CountsDataset.from_ndjson("")
+    for count in ("1e400", "2.7", "true"):
+        with pytest.raises(ValueError):
+            CountsDataset.from_ndjson('{"setting": [0, 0, 1], "outcomes": "++", "count": %s}'
+                                      % count)
     with pytest.raises(ValueError):
         CountRecord(Setting.from_ints((0, 0, 1)), "+0-", 1)
 

@@ -1,15 +1,26 @@
-"""Property tests: canonical setting keys and sign-flip round trips."""
+"""Property tests: canonical setting keys, sign-flip round trips, Born
+probabilities, bootstrap determinism and the witness certificate."""
 
 from __future__ import annotations
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symwit.compiler import LocalTerm, Schedule, Setting
-from symwit.counts import CountRecord, CountsDataset
+from symwit.counts import CountRecord, CountsDataset, _born_probabilities, evaluate_counts
+from symwit.linalg import StateVector
+from symwit.optimize import (
+    WitnessOptimizationProblem,
+    collective_power_basis,
+    optimize_witness,
+    q_scan,
+)
+from symwit.symmetric import dicke
+from symwit.witnesses import LMI_ATOL, NoiseModel, noise_tolerance, wi3_witness
 
 reproducible = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -106,3 +117,64 @@ def test_ndjson_sign_flips_group_identically(rows, pool):
     assert [g[0] for g in mixed] == [g[0] for g in plain]
     assert [g[1] for g in mixed] == [g[1] for g in plain]
     assert all(np.array_equal(a[2], b[2]) for a, b in zip(mixed, plain))
+
+
+@reproducible
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), vectors)
+def test_pure_state_and_density_born_probabilities_agree(num_qubits, seed, v):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(2**num_qubits) + 1j * rng.standard_normal(2**num_qubits)
+    state = StateVector(amps / np.linalg.norm(amps))
+    setting, _ = Setting.parse(v)
+    pure = _born_probabilities(state, setting, num_qubits)
+    mixed = _born_probabilities(state.density(), setting, num_qubits)
+    assert np.max(np.abs(pure - mixed)) <= 1e-12
+
+
+@reproducible
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.text(alphabet="+-", min_size=2, max_size=2),
+                  st.integers(1, 50)),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(0, 2**31),
+    st.integers(2, 40),
+)
+def test_bootstrap_error_is_seed_deterministic(rows, seed, samples):
+    pool = [Setting.from_ints(v) for v in ((1, 0, 0), (0, 1, 1), (1, 2, 3))]
+    data = CountsDataset(2, tuple(CountRecord(pool[i], o, c) for i, o, c in rows))
+    schedule = Schedule(2, [LocalTerm(0.2, None, 0.0, 1.0)] + [
+        LocalTerm(0.7, s, 1.0, 0.3) for s, _, _ in data.grouped()
+    ])
+    first = evaluate_counts(schedule, data, bootstrap_samples=samples, seed=seed)
+    again = evaluate_counts(schedule, data, bootstrap_samples=samples, seed=seed)
+    assert first.standard_error == again.standard_error
+    assert first.to_json() == again.to_json()
+
+
+@pytest.mark.parametrize("n, m, grid", [(3, 1, [0.0, 1.0, 2.0]), (4, 1, [0.0, 0.5, 1.47, 2.6])])
+def test_q_scan_tolerance_is_the_witness_noise_tolerance(n, m, grid):
+    noise = NoiseModel.white(n)
+    for q, c_q, tolerance in q_scan(n, m, grid).rows:
+        witness = wi3_witness(n, m, c_q, q)
+        if tolerance == 0.0:  # the witness does not detect its target
+            with pytest.raises(ValueError):
+                noise_tolerance(witness, noise)
+        else:
+            assert tolerance == pytest.approx(noise_tolerance(witness, noise), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, m, axes", [(4, 2, "xy"), (4, 2, "xyz"), (6, 3, "xy")])
+def test_fit_reports_the_certificate_slack_of_its_spec(n, m, axes):
+    target = dicke(n, m)
+    problem = WitnessOptimizationProblem(
+        target, NoiseModel.white(n), collective_power_basis(n, tuple(axes))
+    )
+    spec, report = optimize_witness(problem)
+    assert report.min_eig_slack == spec.certificate_slack
+    assert report.min_eig_slack >= -LMI_ATOL
+    projector_part = spec.lambda_sq * np.eye(2**n) - np.outer(target.vec, target.vec.conj())
+    direct = np.linalg.eigvalsh(spec.dense.mat - spec.alpha * projector_part)[0]
+    assert abs(report.min_eig_slack - direct) < 1e-12
