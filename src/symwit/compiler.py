@@ -1,8 +1,8 @@
 """Compile permutationally invariant observables into local measurement settings.
 
 A permutationally invariant (PI) N-qubit observable decomposes into
-symmetrized Pauli classes.  Each class expands — via a sign-vector identity —
-into a short sum of collective terms of the form
+symmetrized Pauli classes.  Each class expands — via the polarization
+identity — into a short sum of collective terms of the form
 
     coefficient * (scale * (n . sigma) + w * 1)^{(x) N}
 
@@ -212,12 +212,14 @@ def _canonical_term(coefficient, n_vec, identity_weight, num_qubits: int) -> Loc
     """Normalize a raw ``coefficient * (n . sigma + w)^{(x)N}`` term.
 
     The direction is reduced to canonical form; a sign flip of the direction
-    is absorbed into the coefficient and identity weight.
+    is absorbed into the coefficient and identity weight.  A zero direction
+    gives the constant term ``coefficient * w**N`` with identity weight 1, so
+    all constants merge into one.
     """
     setting, flipped = Setting.parse(n_vec)
     w = float(identity_weight)
     if setting is None:
-        return LocalTerm(coefficient, None, 0.0, w)
+        return LocalTerm(coefficient * w**num_qubits, None, 0.0, 1.0)
     if flipped:
         coefficient, w = _absorb_flip(coefficient, w, num_qubits)
     return LocalTerm(coefficient, setting, _snap(abs(_dot(n_vec, setting)), 1e-12), _snap(w))
@@ -391,7 +393,8 @@ def pauli_decompose(a: DenseOperator, atol: float = 1e-10) -> PauliPolynomial:
     The operator is first projected exactly onto the PI subspace (a no-op up
     to the stated tolerance); each class coefficient is then read off a single
     representative Pauli string, which is valid precisely because of the
-    permutation invariance.
+    permutation invariance.  ``P`` has one nonzero per row, so ``Tr(A P) =
+    i^j sum_c A[c, c^f] (-1)^popcount(c&g)`` (f: x, y qubits; g: y, z qubits).
     """
     n = a.num_qubits
     defect = a.hermiticity_defect()
@@ -401,13 +404,15 @@ def pauli_decompose(a: DenseOperator, atol: float = 1e-10) -> PauliPolynomial:
         raise ValueError("operator is not permutation invariant within tolerance")
     sym = symmetrize(a).hermitized()
     scale = max(1.0, float(np.max(np.abs(sym.mat))))
+    rows = np.arange(2**n)
     classes: list[PauliClass] = []
     for i in range(n + 1):
         for j in range(n + 1 - i):
             for m in range(n + 1 - i - j):
-                letters = ["x"] * i + ["y"] * j + ["z"] * m + ["i"] * (n - i - j - m)
-                rep = _kron_all(_SIGMA[letter] for letter in letters)
-                coeff = complex(np.sum(sym.mat.T * rep)) / 2**n
+                flip = (2 ** (i + j) - 1) << (n - i - j)
+                letters = PauliClass(i, j, m).letters(n)
+                signs = _kron_all(np.array([1.0, -1.0 if q in "yz" else 1.0]) for q in letters)
+                coeff = 1j**j * complex(sym.mat[rows, rows ^ flip] @ signs) / 2**n
                 if abs(coeff.imag) > 1e-10 * scale:
                     raise ValueError("non-real Pauli coefficient on a Hermitian input")
                 if abs(coeff.real) > 1e-12 * scale:
@@ -418,46 +423,24 @@ def pauli_decompose(a: DenseOperator, atol: float = 1e-10) -> PauliPolynomial:
 def symmetrized_product_to_powers(cls: PauliClass, num_qubits: int) -> list[LocalTerm]:
     """Expand one symmetrized class into collective tensor-power terms.
 
-    Writes the sum over distinct arrangements of the class multiset as a
-    combination of at most 2^(N-1) terms ``(n . sigma + w)^{(x)N}``, where the
-    integer vector ``n`` collects the +-1 sign sums of each Pauli block and
-    ``w`` the sign sum of the identity block.  For even N the leading sign
-    sits outside the tensor power, for odd N inside; both cases carry the
-    constraint that the product of all signs is +1.
+    The polarization identity ``sum_pi a_pi(1) (x) ... (x) a_pi(N) =
+    2^-N sum_s (prod_k s_k) (sum_k s_k a_k)^{(x)N}`` over sign vectors ``s``,
+    grouped by the numbers ``(a, b, e, d)`` of minus signs in the x, y, z and
+    identity blocks, writes the sum over distinct arrangements of the class
+    multiset (``r = N - i - j - m`` identities, coefficient ``c``) as
+
+        c / (2^N i! j! m! r!) * sum (-1)^(a+b+e+d) C(i,a) C(j,b) C(m,e) C(r,d)
+            * ((i-2a) sigma_x + (j-2b) sigma_y + (m-2e) sigma_z + (r-2d) 1)^{(x)N}
+
+    a combination of at most (i+1)(j+1)(m+1)(r+1) terms.
     """
-    n = num_qubits
-    t = cls.weight()
-    if t == 0:
-        # all-identity class: a single constant term
-        return [LocalTerm(cls.coefficient, None, 0.0, 1.0)]
-    if t > n:
-        raise ValueError(f"class {cls} does not fit on {n} qubits")
-    r = n - t
-    # multiplicity of each distinct arrangement inside the all-permutations sum
-    repeat = (
-        math.factorial(cls.i) * math.factorial(cls.j)
-        * math.factorial(cls.m) * math.factorial(r)
-    )
-    base = cls.coefficient / (2 ** (n - 1)) / repeat
-    even = n % 2 == 0
-    blocks = (cls.i, cls.j, cls.m, r)
+    blocks = tuple(cls.letters(num_qubits).count(axis) for axis in "xyzi")
+    base = cls.coefficient / (2**num_qubits * math.prod(map(math.factorial, blocks)))
     terms: list[LocalTerm] = []
-    for rest in product((1, -1), repeat=n - 1):
-        s1 = 1
-        for s in rest:
-            s1 *= s
-        signs = (s1,) + rest
-        inner = (1,) + rest if even else signs
-        outer = s1 if even else 1
-        sums = []
-        pos = 0
-        for size in blocks:
-            sums.append(sum(inner[pos:pos + size]))
-            pos += size
-        nx, ny, nz, w = sums
-        terms.append(
-            _canonical_term(base * outer, (float(nx), float(ny), float(nz)), float(w), n)
-        )
+    for minus in product(*(range(k + 1) for k in blocks)):
+        weight = (-1) ** sum(minus) * math.prod(map(math.comb, blocks, minus))
+        nx, ny, nz, w = (float(k - 2 * a) for k, a in zip(blocks, minus))
+        terms.append(_canonical_term(base * weight, (nx, ny, nz), w, num_qubits))
     return terms
 
 

@@ -193,24 +193,25 @@ def _measurement_frame(setting: Setting) -> np.ndarray:
     return vecs[:, ::-1]
 
 
-def _rotate_state(vec: np.ndarray, frame_dag: np.ndarray, num_qubits: int) -> np.ndarray:
-    out = vec
+def _rotate(out: np.ndarray, frame_dag: np.ndarray, num_qubits: int) -> np.ndarray:
+    """``frame_dag^{(x)N}`` applied to the leading 2^N axis, one qubit at a time."""
+    shape = out.shape
     for k in range(num_qubits):
-        shaped = out.reshape(2**k, 2, 2 ** (num_qubits - 1 - k))
-        out = np.einsum("ab,ibj->iaj", frame_dag, shaped).reshape(-1)
-    return out
+        out = np.matmul(frame_dag, out.reshape(2**k, 2, -1))
+    return out.reshape(shape)
+
 
 def _born_probabilities(
     state: StateVector | DenseOperator, setting: Setting, num_qubits: int
 ) -> np.ndarray:
-    frame = _measurement_frame(setting)
+    """Outcome distribution ``|U^dag psi|^2`` or ``diag(U^dag rho U)``, ``U = frame^{(x)N}``."""
+    frame_dag = _measurement_frame(setting).conj().T
     if isinstance(state, StateVector):
-        amps = _rotate_state(state.vec, frame.conj().T, num_qubits)
-        probs = np.abs(amps) ** 2
+        probs = np.abs(_rotate(state.vec, frame_dag, num_qubits)) ** 2
     else:
-        full = _kron_all([frame] * num_qubits)
-        half = full.conj().T @ state.mat
-        probs = np.real(np.einsum("bj,jb->b", half, full))
+        # U^dag rho U is U^dag applied to the rows of (U^dag rho)^dag = rho U
+        half = _rotate(state.mat, frame_dag, num_qubits)
+        probs = np.real(np.diagonal(_rotate(half.conj().T, frame_dag, num_qubits)))
     probs = np.clip(probs, 0.0, None)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-8:

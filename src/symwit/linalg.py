@@ -16,6 +16,8 @@ import numpy as np
 
 # Absolute entrywise tolerance for hermiticity checks.
 HERM_ATOL = 1e-12
+# Largest register the dense constructors build: a 2^12-square complex operator is 268 MB.
+DENSE_MAX_QUBITS = 12
 
 _SIGMA = {
     "i": np.eye(2, dtype=complex),
@@ -23,6 +25,12 @@ _SIGMA = {
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+
+
+def _check_dense_size(num_qubits: int) -> None:
+    """Refuse, before any allocation, a register above ``DENSE_MAX_QUBITS``."""
+    if num_qubits > DENSE_MAX_QUBITS:
+        raise ValueError(f"{num_qubits} qubits: dense operators are limited to {DENSE_MAX_QUBITS}")
 
 
 def _num_qubits_for_dim(dim: int, what: str) -> int:

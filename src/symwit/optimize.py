@@ -93,6 +93,14 @@ class SolverConfig:
     seesaw_tol: float = 1e-12
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # nan meets no stopping test, and barrier_tol = 0 lets mu underflow to 0
+        tols = dict(barrier_tol=self.barrier_tol, cut_tol=self.cut_tol, seesaw_tol=self.seesaw_tol)
+        if not all(math.isfinite(t) and t >= 0 for t in tols.values()) or self.barrier_tol == 0:
+            raise ValueError(f"tolerances must be finite and >= 0, barrier_tol > 0; got {tols}")
+        if self.seesaw_restarts < 0 or self.seed < 0:
+            raise ValueError("seesaw_restarts and seed must be >= 0")
+
     @classmethod
     def from_mapping(cls, entries: dict) -> "SolverConfig":
         known = {f.name: f.type for f in fields(cls)}

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DenseOperator, StateVector, _SIGMA, _kron_all
+from .linalg import DenseOperator, StateVector, _SIGMA, _check_dense_size, _kron_all
 
 PI_ATOL = 1e-10
 
@@ -26,13 +25,9 @@ def dicke(num_qubits: int, excitations: int) -> StateVector:
         raise ValueError("num_qubits must be >= 1")
     if not 0 <= m <= n:
         raise ValueError(f"excitations must lie in 0..{n}, got {m}")
+    _check_dense_size(n)
     vec = np.zeros(2**n, dtype=complex)
-    amp = 1.0 / math.sqrt(math.comb(n, m))
-    for positions in combinations(range(n), m):
-        idx = 0
-        for p in positions:
-            idx |= 1 << (n - 1 - p)  # qubit 1 is the most significant bit
-        vec[idx] = amp
+    vec[[bin(i).count("1") == m for i in range(2**n)]] = 1.0 / math.sqrt(math.comb(n, m))
     return StateVector(vec)
 
 
@@ -56,6 +51,7 @@ def collective_j(num_qubits: int, axis) -> DenseOperator:
     n = int(num_qubits)
     if n < 1:
         raise ValueError("num_qubits must be >= 1")
+    _check_dense_size(n)
     if isinstance(axis, str):
         if axis not in ("x", "y", "z"):
             raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")

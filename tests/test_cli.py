@@ -150,6 +150,14 @@ def test_unknown_config_key_exits_3(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_out_of_range_config_value_exits_3(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("barrier_tol = 0\n")
+    code, _, err = run(capsys, "ppt-max", "--n", "2", "--config", str(cfg))
+    assert code == 3
+    assert "barrier_tol" in err
+
+
 def test_missing_counts_file_exits_3(capsys, tmp_path):
     code, _, err = run(
         capsys, "eval-counts", "--witness", "WP_D42",
@@ -195,6 +203,19 @@ def test_ppt_objective_size_is_checked_before_allocation(capsys, monkeypatch):
     assert main(["ppt-max", "--n", "12"]) == 3
     assert main(["q-scan", "--n", "12", "--m", "6", "--values", "0"]) == 3
     assert "8 qubits" in capsys.readouterr().err
+
+
+def test_dense_size_is_checked_before_allocation(capsys, monkeypatch):
+    import numpy as np
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("a dense array was allocated before the size check")
+
+    for name in ("zeros", "eye", "empty"):
+        monkeypatch.setattr(np, name, no_allocation)
+    assert main(["dicke", "--n", "40", "--m", "20"]) == 3
+    assert main(["optimize-witness", "--n", "40", "--m", "20"]) == 3
+    assert capsys.readouterr().err.count("limited to 12") == 2
 
 
 def test_malformed_schedule_exits_3(capsys, tmp_path):

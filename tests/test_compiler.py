@@ -19,8 +19,9 @@ from symwit.compiler import (
     settings_upper_bound,
     symmetrized_product_to_powers,
 )
-from symwit.linalg import DenseOperator, pauli
+from symwit.linalg import DenseOperator, pauli, pauli_string
 from symwit.symmetric import collective_power, dicke, symmetrize
+from symwit.witnesses import CATALOG_NAMES, catalog
 
 
 def test_setting_canonicalization():
@@ -47,13 +48,14 @@ def test_pauli_class_realization_oracle():
 
 
 def test_sign_expansion_single_class():
-    # one full-weight class on 3 qubits, checked against the class sum
-    cls = PauliClass(1, 1, 1)
-    terms = symmetrized_product_to_powers(cls, 3)
-    total = np.zeros((8, 8), dtype=complex)
-    for term in terms:
-        total += term.realize(3)
-    assert np.max(np.abs(total - cls.realization(3).mat)) < 1e-12
+    # every class on up to 6 qubits, checked against its sum over arrangements
+    for n in range(1, 7):
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                for m in range(n + 1 - i - j):
+                    cls = PauliClass(i, j, m, -0.7)
+                    total = sum(t.realize(n) for t in symmetrized_product_to_powers(cls, n))
+                    assert np.max(np.abs(total - cls.realization(n).mat)) < 1e-12, (n, i, j, m)
 
 
 def test_pauli_decompose_round_trip():
@@ -74,9 +76,23 @@ def test_pauli_decompose_rejects_bad_inputs():
         pauli_decompose(nonherm)
 
 
+def test_pauli_decompose_matches_dense_traces():
+    rng = np.random.default_rng(23)
+    for n in range(1, 6):
+        raw = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        op = symmetrize(DenseOperator((raw + raw.conj().T) / 2)).hermitized()
+        got = {(c.i, c.j, c.m): c.coefficient for c in pauli_decompose(op).classes}
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                for m in range(n + 1 - i - j):
+                    rep = pauli_string(PauliClass(i, j, m).letters(n)).mat
+                    want = np.trace(op.mat @ rep).real / 2**n
+                    assert abs(got.get((i, j, m), 0.0) - want) < 1e-12, (n, i, j, m)
+
+
 def test_compile_reconstructs_random_pi_operators():
     rng = np.random.default_rng(22)
-    for n in (2, 3, 4, 5):
+    for n in (2, 3, 4, 5, 6):
         raw = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
         op = symmetrize(DenseOperator((raw + raw.conj().T) / 2)).hermitized()
         schedule = compile_operator(op)
@@ -84,6 +100,16 @@ def test_compile_reconstructs_random_pi_operators():
         scale = max(1.0, np.max(np.abs(op.mat)))
         assert err < 1e-9 * scale
         assert schedule.num_settings <= settings_upper_bound(n)[1]
+
+
+def test_compiled_catalog_witnesses_have_one_constant_term():
+    for name in CATALOG_NAMES:
+        if name == "WP3_D105":  # the one 10-qubit witness; its build takes 20 s
+            continue
+        schedule = compile_operator(catalog(name).dense)
+        constants = [t for t in schedule.terms if t.setting is None]
+        assert len(constants) <= 1, name
+        assert all(t.identity_weight == 1.0 for t in constants), name
 
 
 def test_compile_collective_power():

@@ -52,6 +52,17 @@ def test_config_mapping():
     assert cfg.cut_tol == 1e-5 and cfg.seed == 3
     with pytest.raises(ValueError):
         SolverConfig.from_mapping({"bogus": "1"})
+    # out-of-range values would crash the barrier (mu underflows to 0) or
+    # never meet a stopping test (nan)
+    for key, raw in (
+        ("barrier_tol", "0"), ("barrier_tol", "-1"), ("barrier_tol", "nan"),
+        ("barrier_tol", "inf"), ("cut_tol", "nan"), ("cut_tol", "-1e-6"),
+        ("seesaw_tol", "nan"), ("seesaw_tol", "inf"), ("seesaw_restarts", "-1"),
+        ("seed", "-3"),
+    ):
+        with pytest.raises(ValueError):
+            SolverConfig.from_mapping({key: raw})
+    assert SolverConfig.from_mapping({"seesaw_restarts": "0", "cut_tol": "0"}).seesaw_restarts == 0
 
 
 def test_report_json_round_trip():

@@ -52,6 +52,19 @@ def test_dicke_input_validation():
         dicke(0, 0)
 
 
+def test_dense_constructors_refuse_large_registers_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("a dense array was allocated before the size check")
+
+    for name in ("zeros", "eye", "empty"):
+        monkeypatch.setattr(np, name, no_allocation)
+    with pytest.raises(ValueError, match="limited to 12"):
+        dicke(40, 20)
+    for axis in ("x", (1.0, 1.0, 0.0)):
+        with pytest.raises(ValueError, match="limited to 12"):
+            collective_j(13, axis)
+
+
 def test_w_state_is_single_excitation_dicke():
     for n in (3, 5):
         assert np.allclose(w_state(n).vec, dicke(n, 1).vec)
