@@ -5,9 +5,9 @@ Optimizing witnesses with convex programming
 Two optimization layers work together.  An interior-point solver maximizes
 an observable over states with positive partial transpose (PPT), which
 upper-bounds what any biseparable state can reach; a seesaw over product
-states gives the matching lower bound.  On top of that, a cutting-plane
-solver picks witness coefficients over a fixed measurement basis so the
-white-noise tolerance is as large as possible.
+states gives the matching lower bound.  On top of that, the same
+interior-point solver picks witness coefficients over a fixed measurement
+basis so the white-noise tolerance is as large as possible.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ print(f"  Dicke target value {target_value:.6f}  -> witness with threshold c")
 print(f"  white-noise tolerance {(target_value - ppt.value) / (target_value - 2.5):.6f}")
 
 # ---------------------------------------------------------------------------
-# fit witness coefficients over a measurement basis (cutting planes)
+# fit witness coefficients over a measurement basis (interior point)
 # ---------------------------------------------------------------------------
 target = dicke(6, 3)
 noise = NoiseModel.white(6)
@@ -53,7 +53,7 @@ for axes in (("x", "y"), ("x", "y", "z")):
     print(f"\noptimized witness over J_{{{','.join(axes)}}} powers "
           f"({len(axes)} settings):")
     print(f"  tolerance {noise_tolerance(witness, noise):.6f}  "
-          f"model gap {report.dual_residual:.1e}  "
+          f"duality gap {report.dual_residual:.1e}  "
           f"iterations {report.iterations}")
     print(f"  <W> on target = {expectation(witness, target.density()):+.6f}")
 

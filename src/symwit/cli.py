@@ -5,8 +5,7 @@ data failures (solver non-convergence, malformed files, undetecting
 witnesses, ...).  Global options may be given before or after the
 subcommand; ``--out`` redirects the primary artifact (default stdout) and
 ``--config`` points to a ``key = value`` file with solver options
-(``barrier_tol``, ``cut_tol``, ``seesaw_restarts``, ``seesaw_tol``,
-``seed``).
+(``barrier_tol``, ``seesaw_restarts``, ``seesaw_tol``, ``seed``).
 """
 
 from __future__ import annotations

@@ -109,13 +109,17 @@ class CountsDataset:
     def from_ndjson(cls, text: str) -> "CountsDataset":
         records = []
         num_qubits = None
+        parsed = {}  # raw direction -> (setting, flipped); a file has few distinct ones
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 entry = json.loads(line)
-                setting, flipped = Setting.parse(entry["setting"], keep_unit=True)
+                raw = json.dumps(entry["setting"])
+                if raw not in parsed:
+                    parsed[raw] = Setting.parse(entry["setting"], keep_unit=True)
+                setting, flipped = parsed[raw]
                 outcomes = str(entry["outcomes"])
                 count = _json_int(entry["count"])
             except (KeyError, TypeError, ValueError) as exc:

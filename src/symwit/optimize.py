@@ -1,21 +1,16 @@
 """Witness and state optimization by convex programming.
 
-Two solvers back the public API.  ``optimize_witness`` fits witness
-coefficients over a fixed operator basis by a cutting-plane method: the
-positivity constraint ``W - alpha * W_P >= 0`` is relaxed to a growing set of
-eigenvector cuts, a small linear program is re-solved after each round, and a
-feasibility repair (shifting along the identity) turns the relaxed iterate
-into a certified witness, so the gap between the two sides bounds the model
-error.  ``max_ppt`` maximizes a Hermitian objective over density matrices
-whose partial transpose across a given bipartition stays positive, using a
-log-barrier interior-point method over a block-diagonal state.  When the
-objective is permutation invariant the state is, without loss of generality
-(by a twirling argument), invariant under permutations within each part; in
-the real Schur–Weyl basis of the two parts it is then a direct sum of one
-block per pair of part spins ``(j_A, j_B)``, of size
-``(2 j_A + 1)(2 j_B + 1)``, and the partial transpose keeps every block, so
-at N=6 the largest matrix is 16-square instead of 64-square.  Other
-objectives are one dense block.  ``max_bisep_seesaw`` and
+One log-barrier interior-point engine, :func:`_barrier_maximize`, solves
+both convex programs, in real Schur–Weyl (total-spin) blocks whenever their
+data is permutation invariant; other data is one dense block.
+``optimize_witness`` fits witness coefficients over a fixed operator basis:
+``W - alpha * W_P >= 0`` holds exactly when each spin-``j`` block of it
+does, and at N=8 the largest block is 9-square instead of 256-square.
+``max_ppt`` maximizes a Hermitian objective over density matrices whose
+partial transpose across a given bipartition stays positive; the optimal
+state for a permutation-invariant objective splits into one block per pair
+of part spins ``(j_A, j_B)`` (see :func:`max_ppt`), so at N=6 the largest
+matrix is 16-square instead of 64-square.  ``max_bisep_seesaw`` and
 ``max_symmetric_product`` provide matching product-state lower bounds by
 alternating eigenvector updates (all random restarts batched) and direct
 Bloch-sphere search.
@@ -30,7 +25,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import minimize
 
 from .linalg import (
     DenseOperator,
@@ -76,26 +71,29 @@ class OptimizationError(RuntimeError):
     """Raised when a solver cannot produce a certified answer."""
 
 
+_JSON_TYPES = {"float": float, "int": int, "bool": bool}  # casts by field annotation
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Numerical knobs shared by the solvers.
 
     ``barrier_tol`` is the final barrier parameter mu of the interior-point
-    solver (the duality gap is bounded by ``2 * dim * mu``); ``cut_tol`` is
-    the model-gap target of the cutting-plane witness fit; the seesaw fields
-    control the random-restart product-state search.  All randomness flows
-    from ``seed`` through explicit generators, so runs are reproducible.
+    engine that fits witnesses and maximizes over PPT states (the duality
+    gap is ``mu`` times the summed sizes of the barrier's matrix
+    inequalities); the seesaw fields control the random-restart
+    product-state search.  All randomness flows from ``seed`` through
+    explicit generators, so runs are reproducible.
     """
 
     barrier_tol: float = 1e-9
-    cut_tol: float = 1e-6
     seesaw_restarts: int = 50
     seesaw_tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self) -> None:
         # nan meets no stopping test, and barrier_tol = 0 lets mu underflow to 0
-        tols = dict(barrier_tol=self.barrier_tol, cut_tol=self.cut_tol, seesaw_tol=self.seesaw_tol)
+        tols = dict(barrier_tol=self.barrier_tol, seesaw_tol=self.seesaw_tol)
         if not all(math.isfinite(t) and t >= 0 for t in tols.values()) or self.barrier_tol == 0:
             raise ValueError(f"tolerances must be finite and >= 0, barrier_tol > 0; got {tols}")
         if self.seesaw_restarts < 0 or self.seed < 0:
@@ -103,13 +101,11 @@ class SolverConfig:
 
     @classmethod
     def from_mapping(cls, entries: dict) -> "SolverConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        for key, raw in entries.items():
+        known = {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
+        for key in entries:
             if key not in known:
                 raise ValueError(f"unknown solver option {key!r}")
-            kwargs[key] = int(raw) if key in ("seesaw_restarts", "seed") else float(raw)
-        return cls(**kwargs)
+        return cls(**{key: known[key](raw) for key, raw in entries.items()})
 
 
 @dataclass(frozen=True)
@@ -118,9 +114,10 @@ class SolverReport:
 
     ``optimum`` is the objective value at the returned point;
     ``primal_residual`` the violation of the equality constraints;
-    ``dual_residual`` the optimality-gap bound (cutting-plane model gap, or
-    ``2 * dim * mu`` for the barrier method); ``min_eig_slack`` the smallest
-    eigenvalue over the semidefinite blocks at the returned point.
+    ``dual_residual`` the barrier's duality gap ``mu * sum(weight * dim)``
+    over its matrix inequalities (``2 * dim * mu`` for a PPT problem);
+    ``min_eig_slack`` the smallest eigenvalue over the semidefinite blocks at
+    the returned point (for a witness fit, the spec's certificate slack).
     """
 
     optimum: float
@@ -131,25 +128,11 @@ class SolverReport:
     converged: bool
 
     def to_json(self) -> dict:
-        return {
-            "optimum": float(self.optimum),
-            "primal_residual": float(self.primal_residual),
-            "dual_residual": float(self.dual_residual),
-            "min_eig_slack": float(self.min_eig_slack),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-        }
+        return {f.name: _JSON_TYPES[f.type](getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "SolverReport":
-        return cls(
-            optimum=float(data["optimum"]),
-            primal_residual=float(data["primal_residual"]),
-            dual_residual=float(data["dual_residual"]),
-            min_eig_slack=float(data["min_eig_slack"]),
-            iterations=int(data["iterations"]),
-            converged=bool(data["converged"]),
-        )
+        return cls(**{f.name: _JSON_TYPES[f.type](data[f.name]) for f in fields(cls)})
 
 
 def _herm(mat: np.ndarray) -> np.ndarray:
@@ -157,7 +140,142 @@ def _herm(mat: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# witness optimization (cutting plane)
+# interior-point engine
+# ---------------------------------------------------------------------------
+
+
+class _Lmi(NamedTuple):
+    """``sum_i x[cols][i] F_i > 0``, the flattened ``dim``-square ``F_i`` as rows of ``flat``."""
+
+    weight: float
+    cols: slice
+    flat: np.ndarray
+    dim: int
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        return (x[self.cols] @ self.flat).reshape(self.dim, self.dim)
+
+
+def _logdet_pd(mat: np.ndarray) -> float | None:
+    try:
+        chol = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return None
+    return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
+
+
+def _barrier_maximize(
+    m_vec: np.ndarray,
+    a_vec: np.ndarray,
+    lmis: list[_Lmi],
+    x: np.ndarray,
+    cfg: SolverConfig,
+    stop=None,
+) -> tuple[np.ndarray, SolverReport]:
+    """Log-barrier interior point: maximize ``m . x`` over ``a . x = 1`` and the LMIs.
+
+    Starts from the strictly feasible ``x`` and follows mu = 1, 0.1, ...
+    down to ``cfg.barrier_tol`` with damped Newton steps on
+    ``-m . x / mu - sum weight * log det``; on the central path the duality
+    gap is ``mu * sum(weight * dim)``.  Every LMI is homogeneous in ``x``,
+    so the final rescaling to ``a . x = 1`` keeps the point feasible.
+    ``stop(x)``, when given, is asked after each barrier level and ends the
+    path early when true.  Returns ``x`` and the report.
+    """
+    nb = len(x)
+
+    def barrier(vec: np.ndarray) -> float | None:
+        total = 0.0
+        for lmi in lmis:
+            ld = _logdet_pd(lmi.matrix(vec))
+            if ld is None:
+                return None
+            total -= lmi.weight * ld
+        return total
+
+    total_newton = 0
+    converged = True
+    mu = 1.0
+    while True:
+        t = 1.0 / mu
+        b_x = barrier(x)
+        dec = math.inf
+        for _ in range(60):
+            # Hessian bordered by the equality constraint
+            kkt = np.zeros((nb + 1, nb + 1))
+            kkt[:nb, nb] = kkt[nb, :nb] = a_vec
+            grad = -t * m_vec
+            for lmi in lmis:
+                flat, cols, d = lmi.flat, lmi.cols, lmi.dim
+                prec = np.linalg.inv(lmi.matrix(x))
+                grad[cols] -= lmi.weight * np.real(flat.conj() @ prec.ravel())
+                curv = (prec @ flat.reshape(-1, d, d) @ prec).reshape(len(flat), -1)
+                kkt[cols, cols] += lmi.weight * np.real(curv @ flat.conj().T)
+            # Near the central path grad is almost parallel to a_vec, with a
+            # multiplier of order t, and the Hessian spans ~1/mu^2 in scale.
+            # Removing that part of grad (it does not change dx), scaling
+            # the Hessian to unit diagonal and taking the decrement as the
+            # step's curvature dx.H.dx (equal to -grad.dx in exact
+            # arithmetic) keeps the rounding error from growing with t.
+            grad -= (a_vec @ grad) / (a_vec @ a_vec) * a_vec
+            scale = np.append(1.0 / np.sqrt(np.diag(kkt)[:nb]), 1.0)
+            kkt = kkt * np.outer(scale, scale)
+            kkt[:nb, :nb] = (kkt[:nb, :nb] + kkt[:nb, :nb].T) / 2.0
+            rhs = np.append(-grad, 0.0) * scale
+            try:
+                y = np.linalg.solve(kkt, rhs)[:nb]
+            except np.linalg.LinAlgError:
+                y = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:nb]
+            dx = y * scale[:nb]
+            dec = float(y @ kkt[:nb, :nb] @ y)
+            if not math.isfinite(dec) or dec <= 2e-9:
+                break
+
+            # Armijo test on -t m.x + barrier, with the linear part taken
+            # from dx rather than as a difference of two large totals
+            gain = t * float(m_vec @ dx)
+            step = 1.0
+            accepted = False
+            for _ in range(60):
+                x_new = x + step * dx
+                b_new = barrier(x_new)
+                if b_new is not None and b_new - b_x - step * gain <= -0.01 * step * dec:
+                    x, b_x = x_new, b_new
+                    accepted = True
+                    break
+                step *= 0.5
+            total_newton += 1
+            if not accepted:
+                # Below mu ~ 1e-8 the Hessian spans more scales than double
+                # precision resolves and dx can point uphill; that ends the
+                # level at the rounding floor, like a centered one.  A
+                # downhill dx that no step length improves enough is a
+                # centering failure.
+                probe = 1e-4
+                b_probe = barrier(x + probe * dx)
+                if b_probe is not None and b_probe - b_x - probe * gain >= 0.0:
+                    dec = 0.0
+                break
+        if dec > 1e-5:
+            converged = False
+        if mu <= cfg.barrier_tol * (1.0 + 1e-12) or (stop is not None and stop(x)):
+            break
+        mu = max(mu / 10.0, cfg.barrier_tol)
+
+    x = x / float(a_vec @ x)  # remove the accumulated drift off the plane
+    report = SolverReport(
+        optimum=float(m_vec @ x),
+        primal_residual=float(abs(a_vec @ x - 1.0)),
+        dual_residual=float(sum(lmi.weight * lmi.dim for lmi in lmis) * mu),
+        min_eig_slack=min(float(np.linalg.eigvalsh(lmi.matrix(x))[0]) for lmi in lmis),
+        iterations=total_newton,
+        converged=converged,
+    )
+    return x, report
+
+
+# ---------------------------------------------------------------------------
+# witness optimization
 # ---------------------------------------------------------------------------
 
 
@@ -232,17 +350,49 @@ class WitnessOptimizationProblem:
         return stack
 
 
+# Bound on Tr(W - alpha * W_P) per dimension.  The optimal face can be
+# unbounded (it is for the xy basis under non-white noise), and the barrier
+# then runs off along it.  One homogeneous row, (bound * a - tr) . z >= 0;
+# rows bounding single coefficients, bound * a +- e_i, lose e_i to cancellation.
+_MAX_TRACE_PER_DIM = 1e3
+
+
+def _prefix_coordinates(flats: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """An orthogonal ``q`` such that LMI ``i`` reads only ``u[:ends[i]]`` of ``u = q^T z``.
+
+    Column group ``i`` spans the directions that move ``flats[i]`` and none
+    of ``flats[:i]``.  So a direction that an early, nearly singular LMI does
+    not see gets no Hessian entries from it, whose ``1 / mu^2`` curvature
+    would bury the direction's own in rounding noise.
+    """
+    rest = np.eye(len(flats[0]))
+    groups, ends = [], []
+    for flat in flats:
+        if rest.shape[1]:
+            coords = rest.T @ flat
+            coords = np.concatenate([coords.real, coords.imag], axis=1)
+            # all k left singular vectors, without the (d^2 x d^2) right factor
+            vecs, sv, _ = np.linalg.svd(coords, full_matrices=len(coords) > coords.shape[1])
+            rank = int(np.sum(sv > sv[0] * max(coords.shape) * np.finfo(float).eps))
+            groups.append(rest @ vecs[:, :rank])
+            rest = rest @ vecs[:, rank:]
+        ends.append(sum(g.shape[1] for g in groups))
+    return np.hstack(groups + [rest]), ends
+
+
 def optimize_witness(
     problem: WitnessOptimizationProblem, config: SolverConfig | None = None
 ) -> tuple[WitnessSpec, SolverReport]:
-    """Fit witness coefficients by cutting planes on the positivity constraint.
+    """Fit witness coefficients on the interior-point engine.
 
-    Each round solves a linear program over the accumulated eigenvector cuts
-    (a relaxation, hence a lower bound on the objective), then repairs the
-    iterate into a strictly feasible witness by an identity shift (an upper
-    bound).  Iteration stops once the two bounds agree to ``config.cut_tol``;
-    the certified model gap is returned as ``dual_residual``.  Raises
-    :class:`OptimizationError` if no witness of the requested form exists.
+    Over ``z = (c, alpha)``, maximize ``-Tr(W rho_noise)`` subject to
+    ``<target|W|target> = -1``, ``W - alpha * W_P >= 0``, ``alpha >= 0`` and
+    the trace bound.  When the basis and ``W_P`` are permutation invariant
+    the slack is ``(+)_j S_j (x) 1_mult_j`` in the Schur–Weyl basis: one LMI
+    ``S_j = V_j^T (W - alpha W_P) V_j`` per spin ``j``, weighted ``mult_j``,
+    has the dense barrier.  A phase I maximizes a margin ``s`` subtracted
+    from every LMI until ``s > 0``.  Raises :class:`OptimizationError` if no
+    witness of the requested form exists.
     """
     cfg = config or SolverConfig()
     mats = problem.basis_stack
@@ -253,103 +403,64 @@ def optimize_witness(
     psi = problem.target.vec
 
     t_vec = np.real(np.einsum("i,kij,j->k", psi.conj(), mats, psi))
-    rho_noise = problem.noise.rho_noise.mat
-    n_vec = np.real(np.einsum("kij,ji->k", mats, rho_noise))
+    n_vec = np.real(np.einsum("kij,ji->k", mats, problem.noise.rho_noise.mat))
 
-    # identity expansion for the feasibility repair (requires 1 in the span)
-    flats = mats.reshape(nb, -1)
-    e_vec, *_ = np.linalg.lstsq(flats.T, np.eye(dim, dtype=complex).ravel(), rcond=None)
-    e_vec = np.real(e_vec)
-    residual = np.linalg.norm(flats.T @ e_vec - np.eye(dim).ravel())
-    has_identity = residual < 1e-9 * math.sqrt(dim)
+    if all(is_permutation_invariant(DenseOperator(op)) for op in (wp, *mats)):
+        isos = [(float(b.multiplicity), b.isometry[:, 0, :]) for b in spin_blocks(problem.num_qubits)]
+        blocks = [(mult, v.T @ (mats @ v), v.T @ wp @ v) for mult, v in isos]
+    else:
+        blocks = [(1.0, mats, wp)]
+    a_vec = np.append(-t_vec, 0.0)
+    traces = np.append(np.real(np.trace(mats, axis1=1, axis2=2)), -np.trace(wp).real)
+    weights = [w for w, _, _ in blocks] + [1.0, 1.0]
+    flats = [np.concatenate([mats_j, -wp_j[None]]).reshape(nb + 1, -1) for _, mats_j, wp_j in blocks]
+    flats.append(np.eye(nb + 1)[:, nb:])  # alpha >= 0
+    flats.append((_MAX_TRACE_PER_DIM * dim * a_vec - traces)[:, None])
+    # the engine works in u = q^T z, where each LMI reads a prefix of u
+    q, ends = _prefix_coordinates(flats)
+    lmis = []
+    for weight, flat, end in zip(weights, flats, ends):
+        flat = q[:, :end].T @ flat
+        flat = flat if np.any(np.imag(flat)) else np.real(flat)
+        lmis.append(_Lmi(weight, slice(0, end), flat, math.isqrt(flat.shape[1])))
+    a_u = q.T @ a_vec
 
-    obj = np.append(n_vec, 0.0)
-    a_eq = np.append(t_vec, 0.0)[None, :]
-    b_eq = np.array([-1.0])
-    bounds = [(-1e3, 1e3)] * nb + [(0.0, 1e3)]
-    cut_rows: list[np.ndarray] = []
-
-    best_obj = math.inf
-    best_point: tuple[np.ndarray, float] | None = None
-    gap = math.inf
-    lp_obj = -math.inf
-    iterations = 0
-
-    for _ in range(2000):
-        a_ub = -np.array(cut_rows) if cut_rows else None
-        b_ub = np.zeros(len(cut_rows)) if cut_rows else None
-        res = linprog(
-            obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-            method="highs",
-        )
-        iterations += 1
-        if res.status == 2:
-            raise OptimizationError(
-                "no witness of the requested form exists: the normalization "
-                "and positivity constraints are jointly infeasible"
-            )
-        if res.status != 0:
-            raise OptimizationError(f"linear-program master failed: {res.message}")
-        z = res.x
-        lp_obj = float(res.fun)
-        coeffs, alpha = z[:nb], z[nb]
-
-        slack = _herm(np.tensordot(coeffs, mats, axes=(0, 0)) - alpha * wp)
-        vals, vecs = np.linalg.eigh(slack)
-        lam_min = float(vals[0])
-
-        if lam_min >= -1e-12:
-            cand_obj = float(n_vec @ coeffs)
-            if cand_obj < best_obj:
-                best_obj, best_point = cand_obj, (coeffs.copy(), float(alpha))
-            gap = best_obj - lp_obj
-            break
-
-        for v in vecs[:, vals < -1e-12][:, :4].T:  # eigenvector cuts
-            row = np.empty(nb + 1)
-            row[:nb] = np.real(np.einsum("i,kij,j->k", v.conj(), mats, v))
-            row[nb] = -np.real(v.conj() @ (wp @ v))
-            cut_rows.append(row)
-
-        if has_identity:
-            # the spectral norm of the Hermitian slack, from the eigenvalues at hand
-            norm = max(abs(lam_min), abs(float(vals[-1])))
-            delta = -lam_min + 1e-10 * max(1.0, norm)
-            if delta < 0.999:
-                coeffs2 = (coeffs + delta * e_vec) / (1.0 - delta)
-                alpha2 = alpha / (1.0 - delta)
-                cand_obj = float(n_vec @ coeffs2)
-                if cand_obj < best_obj:
-                    best_obj, best_point = cand_obj, (coeffs2, alpha2)
-
-        gap = best_obj - lp_obj
-        if best_point is not None and gap <= cfg.cut_tol:
-            break
-
-    if best_point is None:
-        raise OptimizationError(
-            "cutting-plane witness fit found no feasible witness "
-            f"(last positivity violation {lam_min:.3e})"
-        )
-
-    coeffs, alpha = best_point
-    spec = WitnessSpec(
-        name=problem.name,
-        num_qubits=problem.num_qubits,
-        basis=problem.basis,
-        coefficients=tuple(float(c) for c in coeffs),
-        target=problem.target,
-        alpha=float(alpha),
-        lambda_sq=lambda_sq,
-        alpha_source="optimized",
+    infeasible = OptimizationError(
+        "no witness of the requested form exists: the normalization "
+        "and positivity constraints are jointly infeasible"
     )
+    if not a_vec.any():
+        raise infeasible
+    u0 = a_u / (a_u @ a_u)
+    s0 = min(float(np.linalg.eigvalsh(lmi.matrix(u0))[0]) for lmi in lmis) - 1.0
+    phase_one = [  # the margin s comes first and is subtracted from every LMI
+        lmi._replace(cols=slice(0, lmi.cols.stop + 1),
+                     flat=np.vstack([-np.eye(lmi.dim).ravel(), lmi.flat]))
+        for lmi in lmis
+    ]
+    start, first = _barrier_maximize(
+        np.eye(nb + 2)[0], np.append(0.0, a_u), phase_one, np.append(s0, u0), cfg,
+        stop=lambda x: x[0] > 0,
+    )
+    if start[0] <= 0:
+        raise infeasible
+    u, second = _barrier_maximize(q.T @ np.append(-n_vec, 0.0), a_u, lmis, start[1:], cfg)
+    z = q @ u
+
+    coeffs, alpha = z[:nb], float(z[nb])
+    try:  # the dense W can lose the barrier's margin to rounding when coefficients are large
+        spec = WitnessSpec(problem.name, problem.num_qubits, problem.basis,
+                           tuple(float(c) for c in coeffs), problem.target, alpha, lambda_sq,
+                           alpha_source="optimized")
+    except ValueError as exc:
+        raise OptimizationError(f"the fitted witness fails its certificate: {exc}") from None
     report = SolverReport(
-        optimum=best_obj,
+        optimum=float(n_vec @ coeffs),
         primal_residual=float(abs(t_vec @ coeffs + 1.0)),
-        dual_residual=float(gap),
+        dual_residual=second.dual_residual,
         min_eig_slack=spec.certificate_slack,
-        iterations=iterations,
-        converged=bool(gap <= cfg.cut_tol),
+        iterations=first.iterations + second.iterations,
+        converged=second.converged,
     )
     return spec, report
 
@@ -403,11 +514,8 @@ class BisepResult(NamedTuple):
 
 
 class _Block(NamedTuple):
-    """One diagonal block ``X_b`` of the state, repeated ``mult`` times.
-
-    ``objective`` is the ``(dim_a * dim_b)``-square block ``M_b`` of the
-    objective; the partial transpose acts on the leading ``dim_a`` factor.
-    """
+    """A diagonal block ``X_b`` of the state, repeated ``mult`` times, and the
+    objective's block ``M_b``; the partial transpose acts on the ``dim_a`` factor."""
 
     dim_a: int
     dim_b: int
@@ -474,146 +582,33 @@ def _herm_coords(stack: np.ndarray) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
-def _logdet_pd(mat: np.ndarray) -> float | None:
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return None
-    return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
+def _ppt_blocks(blocks: list[_Block], cfg: SolverConfig) -> tuple[list[np.ndarray], SolverReport]:
+    """Maximize ``sum_b mult_b Tr(M_b X_b)`` over ``sum_b mult_b Tr(X_b) = 1``, X_b, X_b^T_A > 0.
 
-
-def _barrier_maximize(
-    blocks: list[_Block], cfg: SolverConfig
-) -> tuple[list[np.ndarray], SolverReport]:
-    """Log-barrier interior point for a block-diagonal PPT problem.
-
-    Maximizes ``sum_b mult_b Tr(M_b X_b)`` subject to
-    ``sum_b mult_b Tr(X_b) = 1`` with every ``X_b`` and its partial transpose
-    ``X_b^T_A`` positive definite, using the barrier
-    ``-sum_b mult_b [log det X_b + log det X_b^T_A]``.  For a state
-    ``rho = V (+)_b (X_b (x) 1_mult_b) V^T`` with a real orthogonal ``V``
-    that keeps the partial transpose inside each block, this is the dense
-    barrier of ``rho`` and ``rho^T_A``, so problem and central path are those
-    of the dense PPT problem.  Each ``X_b`` is parameterized in an orthonormal
-    Hermitian basis, real symmetric when no ``M_b`` has an imaginary part
-    (the central path is then real); the Hessian is block diagonal.  Follows
-    mu = 1, 0.1, ... down to ``cfg.barrier_tol`` with damped Newton steps;
-    the final duality gap is bounded by ``2 * dim * mu`` with
-    ``dim = sum_b mult_b dim_b``.  Returns the blocks ``X_b`` and the report.
+    With the LMIs ``X_b`` and ``X_b^T_A`` weighted ``mult_b``, the barrier is
+    the dense one of ``rho = V (+)_b (X_b (x) 1_mult_b) V^T`` and
+    ``rho^T_A`` (``V`` real orthogonal, keeping the partial transpose inside
+    each block), so the central path is the dense problem's.  ``X_b`` has
+    coordinates in an orthonormal Hermitian basis, real symmetric when no
+    ``M_b`` has an imaginary part; the path starts at ``X_b = 1 / dim``.
     """
     real = not any(np.any(np.imag(b.objective)) for b in blocks)
     objectives = [np.real(b.objective) if real else b.objective for b in blocks]
     bases = [_block_basis(b.dim_a, b.dim_b, real) for b in blocks]
     bounds = np.cumsum([0] + [len(flat) for flat, _ in bases])
-    slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     dims = [b.dim_a * b.dim_b for b in blocks]
     mults = [float(b.mult) for b in blocks]
     dim = sum(b.mult * d for b, d in zip(blocks, dims))
-    nb = int(bounds[-1])
     m_vec = np.concatenate([
         mult * _herm_coords(m_b[None])[0] for mult, m_b in zip(mults, objectives)
     ])
     units = [_herm_coords(np.eye(d, dtype=float if real else complex)[None])[0] for d in dims]
-    x = np.concatenate(units) / dim  # every X_b = 1 / dim
     a_vec = np.concatenate([mult * unit for mult, unit in zip(mults, units)])
-
-    def parts_of(vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [
-            ((vec[sl] @ flat).reshape(d, d), (vec[sl] @ pt_flat).reshape(d, d))
-            for sl, d, (flat, pt_flat) in zip(slices, dims, bases)
-        ]
-
-    def barrier(vec: np.ndarray) -> float | None:
-        total = 0.0
-        for mult, pair in zip(mults, parts_of(vec)):
-            for mat in pair:
-                ld = _logdet_pd(mat)
-                if ld is None:
-                    return None
-                total -= mult * ld
-        return total
-
-    total_newton = 0
-    converged = True
-    mu = 1.0
-    while True:
-        t = 1.0 / mu
-        b_x = barrier(x)
-        dec = math.inf
-        for _ in range(60):
-            # block-diagonal Hessian bordered by the trace constraint
-            kkt = np.zeros((nb + 1, nb + 1))
-            kkt[:nb, nb] = kkt[nb, :nb] = a_vec
-            grad = -t * m_vec
-            for mult, pair, d, flats, sl in zip(mults, parts_of(x), dims, bases, slices):
-                for mat, flat in zip(pair, flats):
-                    prec = np.linalg.inv(mat)
-                    grad[sl] -= mult * np.real(flat.conj() @ prec.ravel())
-                    curv = (prec @ flat.reshape(-1, d, d) @ prec).reshape(len(flat), -1)
-                    kkt[sl, sl] += mult * np.real(curv @ flat.conj().T)
-            # Near the central path grad is almost parallel to a_vec, with a
-            # multiplier of order t, and the Hessian spans ~1/mu^2 in scale.
-            # Removing that part of grad (it does not change dx), scaling
-            # the Hessian to unit diagonal and taking the decrement as the
-            # step's curvature dx.H.dx (equal to -grad.dx in exact
-            # arithmetic) keeps the rounding error from growing with t.
-            grad -= (a_vec @ grad) / (a_vec @ a_vec) * a_vec
-            scale = np.append(1.0 / np.sqrt(np.diag(kkt)[:nb]), 1.0)
-            kkt = kkt * np.outer(scale, scale)
-            kkt[:nb, :nb] = (kkt[:nb, :nb] + kkt[:nb, :nb].T) / 2.0
-            rhs = np.append(-grad, 0.0) * scale
-            try:
-                y = np.linalg.solve(kkt, rhs)[:nb]
-            except np.linalg.LinAlgError:
-                y = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:nb]
-            dx = y * scale[:nb]
-            dec = float(y @ kkt[:nb, :nb] @ y)
-            if not math.isfinite(dec) or dec <= 2e-9:
-                break
-
-            # Armijo test on -t Tr(M rho) + barrier, with the linear part
-            # taken from dx rather than as a difference of two large totals
-            gain = t * float(m_vec @ dx)
-            step = 1.0
-            accepted = False
-            for _ in range(60):
-                x_new = x + step * dx
-                b_new = barrier(x_new)
-                if b_new is not None and b_new - b_x - step * gain <= -0.01 * step * dec:
-                    x, b_x = x_new, b_new
-                    accepted = True
-                    break
-                step *= 0.5
-            total_newton += 1
-            if not accepted:
-                # Below mu ~ 1e-8 the Hessian spans more scales than double
-                # precision resolves and dx can point uphill; that ends the
-                # level at the rounding floor, like a centered one.  A
-                # downhill dx that no step length improves enough is a
-                # centering failure.
-                probe = 1e-4
-                b_probe = barrier(x + probe * dx)
-                if b_probe is not None and b_probe - b_x - probe * gain >= 0.0:
-                    dec = 0.0
-                break
-        if dec > 1e-5:
-            converged = False
-        if mu <= cfg.barrier_tol * (1.0 + 1e-12):
-            break
-        mu = max(mu / 10.0, cfg.barrier_tol)
-
-    x = x / float(a_vec @ x)  # remove the accumulated unit-trace drift
-    parts = parts_of(x)
-    min_slack = min(float(np.linalg.eigvalsh(mat)[0]) for pair in parts for mat in pair)
-    report = SolverReport(
-        optimum=float(m_vec @ x),
-        primal_residual=float(abs(a_vec @ x - 1.0)),
-        dual_residual=float(2.0 * dim * mu),
-        min_eig_slack=min_slack,
-        iterations=total_newton,
-        converged=converged,
-    )
-    return [xb for xb, _ in parts], report
+    lmis = [_Lmi(mult, slice(lo, hi), flat, d)  # X_b, then X_b^T_A, block by block
+            for mult, lo, hi, d, pair in zip(mults, bounds[:-1], bounds[1:], dims, bases)
+            for flat in pair]
+    x, report = _barrier_maximize(m_vec, a_vec, lmis, np.concatenate(units) / dim, cfg)
+    return [lmi.matrix(x) for lmi in lmis[::2]], report
 
 
 @lru_cache(maxsize=16)
@@ -637,20 +632,8 @@ def _spin_embeddings(num_qubits: int, part_size: int) -> tuple[tuple[int, int, n
 
 def _front_permutation(part: tuple[int, ...], num_qubits: int):
     """Permutation sending the part qubits to slots 1..k, and its inverse."""
-    dest = {}
-    slot = 1
-    for q in part:
-        dest[q] = slot
-        slot += 1
-    for q in range(1, num_qubits + 1):
-        if q not in dest:
-            dest[q] = slot
-            slot += 1
-    perm = tuple(dest[q] for q in range(1, num_qubits + 1))
-    inverse = [0] * num_qubits
-    for q in range(1, num_qubits + 1):
-        inverse[perm[q - 1] - 1] = q
-    return perm, tuple(inverse)
+    order = list(part) + [q for q in range(1, num_qubits + 1) if q not in part]
+    return tuple(order.index(q) + 1 for q in range(1, num_qubits + 1)), tuple(order)
 
 
 def max_ppt(problem: PptProblem, config: SolverConfig | None = None) -> PptResult:
@@ -692,7 +675,7 @@ def max_ppt(problem: PptProblem, config: SolverConfig | None = None) -> PptResul
         copies = (iso.T @ m_mat @ iso).reshape(mult, d, mult, d)
         m_b = np.einsum("cicj->ij", copies) / mult  # equal copies for a PI objective
         blocks.append(_Block(dim_a, dim_b, mult, _herm(m_b)))
-    x_blocks, report = _barrier_maximize(blocks, cfg)
+    x_blocks, report = _ppt_blocks(blocks, cfg)
     rho_mat = sum(
         iso @ np.kron(np.eye(blk.mult), xb) @ iso.T
         for (_, _, iso), blk, xb in zip(embeddings, blocks, x_blocks)
@@ -733,6 +716,14 @@ def max_ppt_all(
             best = PptScanResult(result.value, part, result.rho, result.report)
     assert best is not None
     return best
+
+
+def _ppt_constant(objective: DenseOperator, config: SolverConfig | None = None) -> float:
+    """``max_ppt_all(objective).value`` as a witness constant; refused unless converged."""
+    result = max_ppt_all(objective, config)
+    if not result.report.converged:
+        raise OptimizationError("PPT interior-point solver did not converge")
+    return result.value
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +903,7 @@ def q_scan(
         if q < 0:
             raise ValueError("q must be nonnegative")
         m = base - q * penalty if q else base
-        c_q = max_ppt_all(m, cfg).value
+        c_q = _ppt_constant(m, cfg)
         value_target = c_q - float(np.real(m.expectation(rho_t)))
         value_white = c_q - float(np.real(m.trace())) / dim
         tolerance = _critical_noise(value_target, value_white) if value_target < 0 else 0.0

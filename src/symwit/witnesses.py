@@ -432,9 +432,9 @@ def _wi3_d41(q: float) -> WitnessSpec:
     if abs(q - 1.47) < 1e-12:
         c = 4.1234
     else:
-        from .optimize import max_ppt_all  # deferred to avoid an import cycle
+        from .optimize import _ppt_constant  # deferred to avoid an import cycle
 
-        c = max_ppt_all(_wi3_objective(4, 1, q)).value
+        c = _ppt_constant(_wi3_objective(4, 1, q))
     return wi3_witness(4, 1, c, q, name="WI3_D41")
 
 

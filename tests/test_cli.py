@@ -158,6 +158,15 @@ def test_out_of_range_config_value_exits_3(capsys, tmp_path):
     assert "barrier_tol" in err
 
 
+def test_removed_cut_tol_option_exits_3(capsys, tmp_path):
+    # the cutting-plane witness fit and its gap target are gone
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("cut_tol = 1e-6\n")
+    code, _, err = run(capsys, "optimize-witness", "--n", "4", "--m", "2", "--config", str(cfg))
+    assert code == 3
+    assert "cut_tol" in err
+
+
 def test_missing_counts_file_exits_3(capsys, tmp_path):
     code, _, err = run(
         capsys, "eval-counts", "--witness", "WP_D42",

@@ -1,15 +1,17 @@
-"""Convex solvers: cutting-plane witness fit, PPT interior point, seesaw."""
+"""Convex solvers: the interior-point engine (witness fit and PPT), seesaw."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
 from symwit.linalg import DenseOperator, StateVector, identity, op_power, partial_transpose
 from symwit.symmetric import collective_j, dicke
-from symwit.witnesses import BasisTerm, NoiseModel, noise_tolerance
+from symwit.witnesses import BasisTerm, NoiseModel, catalog, noise_tolerance, nonwhite_noise_state
 from symwit.optimize import (
     OptimizationError,
     PptProblem,
@@ -48,21 +50,21 @@ def random_pi_objective(
 
 
 def test_config_mapping():
-    cfg = SolverConfig.from_mapping({"cut_tol": "1e-5", "seed": "3"})
-    assert cfg.cut_tol == 1e-5 and cfg.seed == 3
-    with pytest.raises(ValueError):
-        SolverConfig.from_mapping({"bogus": "1"})
+    cfg = SolverConfig.from_mapping({"barrier_tol": "1e-8", "seed": "3"})
+    assert cfg.barrier_tol == 1e-8 and cfg.seed == 3
+    for key in ("bogus", "cut_tol"):  # cut_tol left with the cutting-plane fit
+        with pytest.raises(ValueError, match="unknown solver option"):
+            SolverConfig.from_mapping({key: "1"})
     # out-of-range values would crash the barrier (mu underflows to 0) or
     # never meet a stopping test (nan)
     for key, raw in (
         ("barrier_tol", "0"), ("barrier_tol", "-1"), ("barrier_tol", "nan"),
-        ("barrier_tol", "inf"), ("cut_tol", "nan"), ("cut_tol", "-1e-6"),
-        ("seesaw_tol", "nan"), ("seesaw_tol", "inf"), ("seesaw_restarts", "-1"),
-        ("seed", "-3"),
+        ("barrier_tol", "inf"), ("seesaw_tol", "nan"), ("seesaw_tol", "inf"),
+        ("seesaw_restarts", "-1"), ("seed", "-3"),
     ):
         with pytest.raises(ValueError):
             SolverConfig.from_mapping({key: raw})
-    assert SolverConfig.from_mapping({"seesaw_restarts": "0", "cut_tol": "0"}).seesaw_restarts == 0
+    assert SolverConfig.from_mapping({"seesaw_restarts": "0", "seesaw_tol": "0"}).seesaw_restarts == 0
 
 
 def test_report_json_round_trip():
@@ -99,14 +101,14 @@ def test_ppt_commutant_matches_dense_solver():
     rng = np.random.default_rng(42)
     m = random_pi_objective(3, rng)
     fast = max_ppt(PptProblem(m, (1,)))
-    from symwit.optimize import _Block, _barrier_maximize
+    from symwit.optimize import _Block, _ppt_blocks
 
-    _, report = _barrier_maximize([_Block(2, 4, 1, m.mat)], SolverConfig())
+    _, report = _ppt_blocks([_Block(2, 4, 1, m.mat)], SolverConfig())
     assert abs(fast.value - report.optimum) < 1e-6
 
 
 def test_ppt_spin_blocks_match_one_block_solve():
-    from symwit.optimize import _Block, _barrier_maximize
+    from symwit.optimize import _Block, _ppt_blocks
 
     rng = np.random.default_rng(44)
     for n in (3, 4, 5):
@@ -115,9 +117,7 @@ def test_ppt_spin_blocks_match_one_block_solve():
         for k in range(1, n // 2 + 1):
             part = tuple(range(n - k + 1, n + 1))  # a part that is not a prefix
             result = max_ppt(PptProblem(m, part))
-            _, dense = _barrier_maximize(
-                [_Block(2**k, 2 ** (n - k), 1, m.mat)], SolverConfig()
-            )
+            _, dense = _ppt_blocks([_Block(2**k, 2 ** (n - k), 1, m.mat)], SolverConfig())
             assert result.report.converged and dense.converged
             assert abs(result.value - dense.optimum) < 1e-6, (n, k)
             rho = result.rho
@@ -253,9 +253,105 @@ def test_optimize_witness_normalization_and_certificate():
 def test_optimize_witness_infeasible_raises():
     target = dicke(4, 2)
     noise = NoiseModel.white(4)
-    problem = WitnessOptimizationProblem(target, noise, (BasisTerm("identity"),))
+    # J_z vanishes on the target, so no W over it meets <W> = -1
+    for basis in ((BasisTerm("identity"),), (BasisTerm("collective", axis="z", power=1),)):
+        with pytest.raises(OptimizationError, match="no witness of the requested form"):
+            optimize_witness(WitnessOptimizationProblem(target, noise, basis))
+
+
+def test_fit_converges_under_nonwhite_noise_with_the_xyz_basis():
+    # the cutting-plane fit ran all 2000 rounds here (about 66 s) and stopped unconverged
+    noise = NoiseModel.custom(nonwhite_noise_state(0.0))
+    basis = collective_power_basis(6, ("x", "y", "z"))
+    start = time.monotonic()
+    spec, report = optimize_witness(WitnessOptimizationProblem(dicke(6, 3), noise, basis))
+    assert time.monotonic() - start < 5.0
+    assert report.converged and report.dual_residual <= 1e-6
+    assert abs(noise_tolerance(spec, noise) - 0.4) <= 1e-6
+
+
+@pytest.mark.parametrize("p, want", [(0.0, 2.0), (0.5, 0.5)])
+def test_fit_converges_when_noise_leaves_spin_blocks_free(p, want):
+    # noise inside the symmetric block leaves the j < N/2 blocks to the trace
+    # bound alone: their small curvature must not drown in the target block's
+    noise = NoiseModel.custom(
+        p * dicke(4, 2).density() + 0.5 * (1 - p) * (dicke(4, 1).density() + dicke(4, 3).density())
+    )
+    problem = WitnessOptimizationProblem(dicke(4, 2), noise, collective_power_basis(4))
+    _, report = optimize_witness(problem)
+    assert report.converged and report.dual_residual <= 1e-6
+    assert abs(report.optimum - want) <= 1e-6
+
+
+@pytest.mark.parametrize("n, axes", [(4, "xy"), (4, "xyz"), (6, "xy"), (6, "xyz")])
+def test_fit_in_spin_blocks_matches_one_dense_block(n, axes, monkeypatch):
+    import symwit.optimize as opt
+
+    sizes = []
+    engine = opt._barrier_maximize
+
+    def recording(m_vec, a_vec, lmis, x, cfg, stop=None):
+        sizes.append(max(lmi.dim for lmi in lmis))
+        return engine(m_vec, a_vec, lmis, x, cfg, stop)
+
+    monkeypatch.setattr(opt, "_barrier_maximize", recording)
+    problem = WitnessOptimizationProblem(
+        dicke(n, n // 2), NoiseModel.white(n), collective_power_basis(n, tuple(axes))
+    )
+    _, blocks = optimize_witness(problem)
+    monkeypatch.setattr(opt, "is_permutation_invariant", lambda op: False)
+    _, dense = optimize_witness(problem)
+    assert sizes == [n + 1, n + 1, 2**n, 2**n]  # the largest block has spin n/2
+    assert blocks.converged and dense.converged
+    assert abs(blocks.optimum - dense.optimum) <= 1e-8
+
+
+def test_fit_reaches_the_projector_closed_form_for_a_random_target():
+    # W = a 1 + b |psi><psi| is best at W_P / (1 - lambda^2): Tr(W) / 2^N is
+    # (lambda^2 - 2^-N) / (1 - lambda^2); the target is neither PI nor real
+    rng = np.random.default_rng(7)
+    vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    target = StateVector(vec / np.linalg.norm(vec))
+    basis = (BasisTerm("identity"), BasisTerm("projector"))
+    spec, report = optimize_witness(WitnessOptimizationProblem(target, NoiseModel.white(4), basis))
+    lam_sq = spec.lambda_sq
+    assert report.converged
+    assert abs(report.optimum - (lam_sq - 2**-4) / (1 - lam_sq)) <= 1e-6
+
+
+def test_prefix_coordinates_give_each_lmi_a_prefix():
+    from symwit.optimize import _prefix_coordinates
+
+    rng = np.random.default_rng(8)
+    mix = np.linalg.qr(rng.standard_normal((6, 6)))[0]  # hide the structure
+    # LMI 0 reads variables 0-1, LMI 1 also 2-3 (complex), LMI 2 all six
+    reads = [2, 4, 6]
+    flats = []
+    for k, d, imag in zip(reads, (3, 2, 2), (0, 1j, 0)):
+        flat = np.zeros((6, d * d), dtype=complex)
+        flat[:k] = rng.standard_normal((k, d * d)) + imag * rng.standard_normal((k, d * d))
+        flats.append(mix @ flat)
+    q, ends = _prefix_coordinates(flats)
+    assert ends == reads
+    assert np.allclose(q.T @ q, np.eye(6), atol=1e-12)
+    for flat, end in zip(flats[:2], ends):
+        assert np.max(np.abs(q[:, end:].T @ flat)) <= 1e-12 * np.max(np.abs(flat))
+
+
+def test_unconverged_ppt_constant_is_refused(monkeypatch):
+    import symwit.optimize as opt
+
+    solve = opt.max_ppt_all
+
+    def unconverged(objective, config=None):
+        result = solve(objective, config)
+        return result._replace(report=dataclasses.replace(result.report, converged=False))
+
+    monkeypatch.setattr(opt, "max_ppt_all", unconverged)
     with pytest.raises(OptimizationError):
-        optimize_witness(problem)
+        q_scan(3, 1, (0.5,))
+    with pytest.raises(OptimizationError):
+        catalog("WI3_D41", q=0.8125)  # a q no other test builds, so not cached
 
 
 def test_optimize_witness_rejects_dependent_basis():

@@ -20,7 +20,7 @@ from symwit.optimize import (
     q_scan,
 )
 from symwit.symmetric import dicke
-from symwit.witnesses import LMI_ATOL, NoiseModel, noise_tolerance, wi3_witness
+from symwit.witnesses import NoiseModel, noise_tolerance, wi3_witness
 
 reproducible = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -174,7 +174,7 @@ def test_fit_reports_the_certificate_slack_of_its_spec(n, m, axes):
     )
     spec, report = optimize_witness(problem)
     assert report.min_eig_slack == spec.certificate_slack
-    assert report.min_eig_slack >= -LMI_ATOL
+    assert report.min_eig_slack >= 0
     projector_part = spec.lambda_sq * np.eye(2**n) - np.outer(target.vec, target.vec.conj())
     direct = np.linalg.eigvalsh(spec.dense.mat - spec.alpha * projector_part)[0]
     assert abs(report.min_eig_slack - direct) < 1e-12
