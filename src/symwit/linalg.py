@@ -132,7 +132,7 @@ class StateVector:
         arr = np.array(vec, dtype=complex, copy=True).reshape(-1)
         object.__setattr__(self, "num_qubits", _num_qubits_for_dim(arr.shape[0], "state"))
         nrm = float(np.linalg.norm(arr))
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # also refuses nan amplitudes
             raise ValueError(f"state vector norm {nrm!r} is not 1 within 1e-12")
         arr.flags.writeable = False
         object.__setattr__(self, "vec", arr)
@@ -168,6 +168,7 @@ class StateVector:
 # ---------------------------------------------------------------------------
 
 def identity(num_qubits: int) -> DenseOperator:
+    _check_dense_size(num_qubits)
     return DenseOperator(np.eye(2**num_qubits, dtype=complex))
 
 

@@ -34,13 +34,15 @@ from .linalg import (
     schmidt_max_sq,
 )
 from .symmetric import (
+    compress,
     dicke,
     is_permutation_invariant,
+    lift,
     permute_qubits,
     spin_blocks,
 )
-from .witnesses import (BasisTerm, NoiseModel, WitnessSpec, _critical_noise,
-                        _projector_witness_matrix, _wi3_objective, _wi3_penalty)
+from .witnesses import (BasisTerm, NoiseModel, WitnessSpec, _basis_blocks, _critical_noise,
+                        _wi3_objective, _wi3_penalty)
 
 __all__ = [
     "SolverConfig",
@@ -324,12 +326,13 @@ class WitnessOptimizationProblem:
             raise ValueError("witness basis must not be empty")
         if self.noise.rho_noise.dim != self.target.dim:
             raise ValueError("noise model dimension does not match the target")
-        flats = self.basis_stack.reshape(len(self.basis), -1)
-        norms = np.linalg.norm(flats, axis=1)
+        nb = len(self.basis)
+        gram = sum(iso.shape[1] * np.real(flat.conj() @ flat.T)  # sum_j mult_j Tr(A_j^dag B_j)
+                   for iso, stack in self.blocks for flat in [stack[:nb].reshape(nb, -1)])
+        norms = np.sqrt(np.diag(gram))
         if np.any(norms == 0):
             raise ValueError("witness basis contains a zero operator")
-        gram = np.real(flats.conj() @ flats.T) / np.outer(norms, norms)
-        if float(np.linalg.eigvalsh(gram)[0]) < 1e-10:
+        if float(np.linalg.eigvalsh(gram / np.outer(norms, norms))[0]) < 1e-10:
             raise ValueError("witness basis operators are linearly dependent")
 
     @property
@@ -337,17 +340,9 @@ class WitnessOptimizationProblem:
         return self.target.num_qubits
 
     @cached_property
-    def basis_stack(self) -> np.ndarray:
-        """The realized basis operators, one read-only ``(len(basis), dim, dim)`` array."""
-        dim = self.target.dim
-        stack = np.empty((len(self.basis), dim, dim), dtype=complex)
-        for k, term in enumerate(self.basis):
-            op = term.realize(self.num_qubits, self.target)
-            if not op.is_hermitian(1e-10):
-                raise ValueError("witness basis operators must be Hermitian")
-            stack[k] = op.mat
-        stack.setflags(write=False)
-        return stack
+    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(isometry, stack)`` per block: the basis terms' blocks, then the target projector's."""
+        return _basis_blocks(self.basis + (BasisTerm("projector"),), self.target)
 
 
 # Bound on Tr(W - alpha * W_P) per dimension.  The optimal face can be
@@ -387,33 +382,32 @@ def optimize_witness(
 
     Over ``z = (c, alpha)``, maximize ``-Tr(W rho_noise)`` subject to
     ``<target|W|target> = -1``, ``W - alpha * W_P >= 0``, ``alpha >= 0`` and
-    the trace bound.  When the basis and ``W_P`` are permutation invariant
-    the slack is ``(+)_j S_j (x) 1_mult_j`` in the Schur–Weyl basis: one LMI
-    ``S_j = V_j^T (W - alpha W_P) V_j`` per spin ``j``, weighted ``mult_j``,
-    has the dense barrier.  A phase I maximizes a margin ``s`` subtracted
+    the trace bound, all read from the blocks of ``problem.blocks``.  For a
+    symmetric target the slack is ``(+)_j S_j (x) 1_mult_j`` in the
+    Schur–Weyl basis: one LMI ``S_j = W_j - alpha W_P,j`` per spin ``j``,
+    weighted ``mult_j``, has the dense barrier; any other target gives one
+    dense LMI.  A phase I maximizes a margin ``s`` subtracted
     from every LMI until ``s > 0``.  Raises :class:`OptimizationError` if no
     witness of the requested form exists.
     """
     cfg = config or SolverConfig()
-    mats = problem.basis_stack
-    nb = mats.shape[0]
+    nb = len(problem.basis)
     dim = problem.target.dim
     lambda_sq = schmidt_max_sq(problem.target)
-    wp = _projector_witness_matrix(problem.target, lambda_sq)
-    psi = problem.target.vec
+    mults = [float(iso.shape[1]) for iso, _ in problem.blocks]
 
-    t_vec = np.real(np.einsum("i,kij,j->k", psi.conj(), mats, psi))
-    n_vec = np.real(np.einsum("kij,ji->k", mats, problem.noise.rho_noise.mat))
+    def basis_traces(rho_blocks) -> np.ndarray:  # Tr(B_k rho) = sum_j mult_j Tr(B_kj rho_j)
+        return sum(mult * np.real(np.einsum("kij,ji->k", stack[:nb], r))
+                   for mult, (_, stack), r in zip(mults, problem.blocks, rho_blocks))
 
-    if all(is_permutation_invariant(DenseOperator(op)) for op in (wp, *mats)):
-        isos = [(float(b.multiplicity), b.isometry[:, 0, :]) for b in spin_blocks(problem.num_qubits)]
-        blocks = [(mult, v.T @ (mats @ v), v.T @ wp @ v) for mult, v in isos]
-    else:
-        blocks = [(1.0, mats, wp)]
+    t_vec = basis_traces([stack[nb] for _, stack in problem.blocks])
+    n_vec = basis_traces([compress(problem.noise.rho_noise.mat, iso) for iso, _ in problem.blocks])
     a_vec = np.append(-t_vec, 0.0)
-    traces = np.append(np.real(np.trace(mats, axis1=1, axis2=2)), -np.trace(wp).real)
-    weights = [w for w, _, _ in blocks] + [1.0, 1.0]
-    flats = [np.concatenate([mats_j, -wp_j[None]]).reshape(nb + 1, -1) for _, mats_j, wp_j in blocks]
+    eyes = [np.eye(len(stack[0])) for _, stack in problem.blocks]
+    traces = np.append(basis_traces(eyes), 1.0 - lambda_sq * dim)
+    weights = mults + [1.0, 1.0]
+    flats = [np.concatenate([stack[:nb], stack[nb:] - lambda_sq * eye]).reshape(nb + 1, -1)
+             for (_, stack), eye in zip(problem.blocks, eyes)]  # the blocks of W and of -W_P
     flats.append(np.eye(nb + 1)[:, nb:])  # alpha >= 0
     flats.append((_MAX_TRACE_PER_DIM * dim * a_vec - traces)[:, None])
     # the engine works in u = q^T z, where each LMI reads a prefix of u
@@ -448,7 +442,7 @@ def optimize_witness(
     z = q @ u
 
     coeffs, alpha = z[:nb], float(z[nb])
-    try:  # the dense W can lose the barrier's margin to rounding when coefficients are large
+    try:  # W can lose the barrier's margin to rounding in large coefficients
         spec = WitnessSpec(problem.name, problem.num_qubits, problem.basis,
                            tuple(float(c) for c in coeffs), problem.target, alpha, lambda_sq,
                            alpha_source="optimized")
@@ -616,15 +610,15 @@ def _spin_embeddings(num_qubits: int, part_size: int) -> tuple[tuple[int, int, n
     """Real embeddings of the (j_A, j_B) spin blocks of a two-part register.
 
     Each entry is ``(dim_a, dim_b, V)`` with ``V`` of shape
-    ``(2^N, mult * dim_a * dim_b)``: column block ``c`` is the isometry of
-    copy ``c``, ordered as the tensor product of a part-A spin state (the
-    first ``part_size`` qubits) and a part-B spin state.
+    ``(2^N, mult, dim_a * dim_b)``: ``V[:, c, :]`` is the isometry of copy
+    ``c``, ordered as the tensor product of a part-A spin state (the first
+    ``part_size`` qubits) and a part-B spin state.
     """
     out = []
     for blk_a in spin_blocks(part_size):
         for blk_b in spin_blocks(num_qubits - part_size):
             iso = np.einsum("xci,yej->xyceij", blk_a.isometry, blk_b.isometry)
-            iso = iso.reshape(2**num_qubits, -1)
+            iso = iso.reshape(2**num_qubits, blk_a.multiplicity * blk_b.multiplicity, -1)
             iso.setflags(write=False)
             out.append((blk_a.dim, blk_b.dim, iso))
     return tuple(out)
@@ -666,20 +660,12 @@ def max_ppt(problem: PptProblem, config: SolverConfig | None = None) -> PptResul
                 "dense PPT maximization without permutation symmetry is "
                 "limited to 5 qubits"
             )
-        embeddings = ((2**k, 2 ** (n - k), np.eye(2**n)),)
+        embeddings = ((2**k, 2 ** (n - k), np.eye(2**n)[:, None, :]),)
         m_mat = permute_qubits(m, perm).mat
-    blocks = []
-    for dim_a, dim_b, iso in embeddings:
-        d = dim_a * dim_b
-        mult = iso.shape[1] // d
-        copies = (iso.T @ m_mat @ iso).reshape(mult, d, mult, d)
-        m_b = np.einsum("cicj->ij", copies) / mult  # equal copies for a PI objective
-        blocks.append(_Block(dim_a, dim_b, mult, _herm(m_b)))
+    blocks = [_Block(dim_a, dim_b, iso.shape[1], _herm(compress(m_mat, iso)))
+              for dim_a, dim_b, iso in embeddings]
     x_blocks, report = _ppt_blocks(blocks, cfg)
-    rho_mat = sum(
-        iso @ np.kron(np.eye(blk.mult), xb) @ iso.T
-        for (_, _, iso), blk, xb in zip(embeddings, blocks, x_blocks)
-    )
+    rho_mat = lift((iso, xb) for (_, _, iso), xb in zip(embeddings, x_blocks))
     rho = permute_qubits(DenseOperator(_herm(rho_mat)), inverse)
     return PptResult(value=report.optimum, rho=rho, report=report)
 

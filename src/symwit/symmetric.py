@@ -200,3 +200,34 @@ def spin_blocks(num_qubits: int) -> tuple[SpinBlock, ...]:
         iso.setflags(write=False)
         blocks.append(SpinBlock(j, iso))
     return tuple(blocks)
+
+
+@lru_cache(maxsize=64)
+def spin_matrix(j: float, axis: str) -> np.ndarray:
+    """Condon–Shortley ``J_axis`` on ``|j, j>, ..., |j, -j>``, as in :func:`spin_blocks`."""
+    m = j - np.arange(int(round(2 * j)) + 1)
+    plus = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)  # the real J_+
+    mat = {"x": (plus + plus.T) / 2, "y": (plus - plus.T) / 2j, "z": np.diag(m)}[axis]
+    mat.setflags(write=False)
+    return mat
+
+
+def symmetric_amplitudes(state: StateVector) -> np.ndarray | None:
+    """``state`` on the Dicke states ``|N/2, N/2>, ..., |N/2, -N/2>``; None outside their span."""
+    top = spin_blocks(state.num_qubits)[0].isometry[:, 0, :]
+    amps = top.T @ state.vec
+    return amps if np.linalg.norm(state.vec - top @ amps) < PI_ATOL else None
+
+
+def compress(mat: np.ndarray, isometry: np.ndarray) -> np.ndarray:
+    """``sum_c V_c^T A V_c / mult`` over the copies ``V_c = isometry[:, c, :]`` of one block:
+    ``Tr(W A) = sum_j mult_j Tr(W_j compress(A))`` for a PI ``W`` with blocks ``W_j``."""
+    full, mult, dim = isometry.shape
+    flat = isometry.reshape(full, mult * dim)
+    return np.einsum("cicj->ij", (flat.T @ mat @ flat).reshape(mult, dim, mult, dim)) / mult
+
+
+def lift(pairs) -> np.ndarray:
+    """The dense ``sum sum_c V_c A V_c^T`` of ``(isometry, A)`` pairs; inverts :func:`compress`."""
+    return sum(flat @ np.kron(np.eye(iso.shape[1]), block) @ flat.T
+               for iso, block in pairs for flat in [iso.reshape(len(iso), -1)])

@@ -12,9 +12,11 @@ and :mod:`symwit.counts` call them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from numbers import Integral
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -22,13 +24,13 @@ from scipy.optimize import minimize_scalar
 from .linalg import (
     DenseOperator,
     StateVector,
+    _check_dense_size,
     identity,
-    kron_power,
     op_power,
-    pauli,
     schmidt_max_sq,
 )
-from .symmetric import collective_j, collective_power, dicke
+from .symmetric import (collective_j, collective_power, compress, dicke, lift, spin_blocks,
+                        spin_matrix, symmetric_amplitudes)
 
 #: eigenvalue slack accepted when certifying W - alpha * W_P >= 0
 LMI_ATOL = 1e-9
@@ -55,23 +57,29 @@ class BasisTerm:
             raise ValueError(f"unknown basis term kind {self.kind!r}")
         if self.kind in ("collective", "tensor") and self.axis not in ("x", "y", "z"):
             raise ValueError(f"basis term kind {self.kind!r} requires an x/y/z axis")
+        if not isinstance(self.power, (Integral, type(None))) or not math.isfinite(self.shift):
+            raise ValueError(f"basis term needs an integer power and a finite shift: {self!r}")
         if self.kind == "collective" and (self.power is None or self.power < 1):
             raise ValueError("collective basis term requires power >= 1")
 
-    def realize(self, num_qubits: int, target: StateVector | None = None) -> DenseOperator:
+    def block(self, num_qubits: int, j: float, target_amps: np.ndarray | None) -> np.ndarray:
+        """This term on one copy of spin ``j`` (:func:`spin_blocks`), given the
+        target's amplitudes on the Dicke states (:func:`symmetric_amplitudes`)."""
+        dim, s = int(round(2 * j)) + 1, self.shift
         if self.kind == "identity":
-            return identity(num_qubits)
+            return np.eye(dim)
+        if self.kind == "projector":
+            if target_amps is None:
+                raise ValueError("projector basis term requires a symmetric target")
+            top = dim == num_qubits + 1
+            return np.outer(target_amps, target_amps.conj()) if top else np.zeros((dim, dim))
         if self.kind == "collective":
-            if self.shift == 0.0:
-                return collective_power(num_qubits, self.axis, self.power)
-            op = collective_j(num_qubits, self.axis) + self.shift * identity(num_qubits)
-            return op_power(op, self.power)
-        if self.kind == "tensor":
-            local = pauli(self.axis) + self.shift * identity(1)
-            return kron_power(local, num_qubits)
-        if target is None:
-            raise ValueError("projector basis term requires a target state")
-        return target.density()
+            op = np.linalg.matrix_power(spin_matrix(j, self.axis) + s * np.eye(dim), self.power)
+        else:  # (sigma + s)^(x)N is (1 + s)^n (s - 1)^(N - n) where n = N/2 + J_axis factors are +1
+            _, vecs = np.linalg.eigh(spin_matrix(j, self.axis))  # J_axis = -j, ..., j
+            n = round(num_qubits / 2 - j) + np.arange(dim)
+            op = (vecs * (1.0 + s) ** n * (s - 1.0) ** (num_qubits - n)) @ vecs.conj().T
+        return (op + op.conj().T) / 2
 
     def json_entry(self) -> dict:
         return {
@@ -100,6 +108,9 @@ class WitnessSpec:
     but whenever ``alpha`` is set the certificate is checked at construction.
     ``alpha_source`` records where alpha came from (``printed``, ``derived``
     or ``exact``).
+
+    The certificate and expectation values read :attr:`blocks`, one per total
+    spin ``j`` for a symmetric target; :attr:`dense` is lifted from them.
     """
 
     name: str
@@ -116,8 +127,9 @@ class WitnessSpec:
             raise ValueError("basis and coefficients must have equal length")
         if self.target.num_qubits != self.num_qubits:
             raise ValueError("target state has the wrong number of qubits")
-        if not self.dense.is_hermitian(1e-10):
-            raise ValueError("witness realization is not Hermitian")
+        if not all(math.isfinite(float(v)) for v in (*self.coefficients, self.alpha or 0,
+                                                     self.lambda_sq or 0)):
+            raise ValueError("witness coefficients, alpha and lambda_sq must be finite")
         if self.alpha is not None:
             if self.alpha <= 0:
                 raise ValueError("alpha must be positive")
@@ -128,20 +140,28 @@ class WitnessSpec:
                                  f"{self.certificate_slack:.3e} for alpha={self.alpha}")
 
     @cached_property
+    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(isometry, W_j)``: ``W = sum_j sum_c V_c W_j V_c^T``, ``V_c = isometry[:, c]``."""
+        coeffs = np.array([float(c) for c in self.coefficients])
+        return [(iso, np.tensordot(coeffs, stack, axes=1))
+                for iso, stack in _basis_blocks(self.basis, self.target)]
+
+    @cached_property
     def dense(self) -> DenseOperator:
-        dim = 2**self.num_qubits
-        total = np.zeros((dim, dim), dtype=complex)
-        for coeff, term in zip(self.coefficients, self.basis):
-            total += float(coeff) * term.realize(self.num_qubits, self.target).mat
-        return DenseOperator(total).hermitized()
+        return DenseOperator(lift(self.blocks)).hermitized()
+
+    def _projector_witness_blocks(self, lambda_sq: float) -> list[np.ndarray]:
+        """The blocks of ``W_P = lambda_sq * 1 - |target><target|``, aligned with :attr:`blocks`."""
+        return [lambda_sq * np.eye(len(p)) - p
+                for _, (p,) in _basis_blocks((BasisTerm("projector"),), self.target)]
 
     @cached_property
     def certificate_slack(self) -> float | None:
         """``min-eig(W - alpha * W_P)``, or None when no alpha is set."""
         if self.alpha is None:
             return None
-        wp = _projector_witness_matrix(self.target, float(self.lambda_sq))
-        return _certificate_slack(self.dense.mat, wp, float(self.alpha))
+        return _slack([w for _, w in self.blocks],
+                      self._projector_witness_blocks(float(self.lambda_sq)), float(self.alpha))
 
     # -- serialization ----------------------------------------------------
     def to_json(self) -> str:
@@ -193,6 +213,7 @@ class NoiseModel:
 
     @classmethod
     def white(cls, num_qubits: int) -> "NoiseModel":
+        _check_dense_size(num_qubits)
         dim = 2**num_qubits
         return cls("white", DenseOperator(np.eye(dim, dtype=complex) / dim))
 
@@ -288,40 +309,49 @@ def _wi3_penalty(num_qubits: int, excitations: int) -> DenseOperator:
     return op_power(jz - jz_mean * identity(num_qubits), 2)
 
 
-def _projector_witness_matrix(target: StateVector, lambda_sq: float) -> np.ndarray:
-    """The projector witness ``W_P = lambda_sq * 1 - |target><target|``."""
-    return lambda_sq * np.eye(target.dim) - np.outer(target.vec, target.vec.conj())
+def _basis_blocks(basis, target: StateVector) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(isometry, stack)`` per block, ``stack[k]`` the block of ``basis[k]``.
+
+    Only a target outside the symmetric subspace has a projector that is not
+    permutation invariant; then the one block is the whole space.
+    """
+    n = target.num_qubits
+    spins = spin_blocks(n)
+    amps = symmetric_amplitudes(target)
+    if amps is not None:
+        return [(b.isometry, np.array([term.block(n, b.j, amps) for term in basis]))
+                for b in spins]
+    stack = [target.density().mat if term.kind == "projector"
+             else lift((b.isometry, term.block(n, b.j, None)) for b in spins)
+             for term in basis]
+    return [(np.eye(target.dim)[:, None, :], np.array(stack))]
 
 
-def _certificate_slack(witness: np.ndarray, projector_witness: np.ndarray, alpha: float) -> float:
-    """``min-eig(W - alpha * W_P)``; the certificate holds when it is >= -LMI_ATOL."""
-    return float(np.linalg.eigvalsh(witness - alpha * projector_witness)[0])
+def _slack(w_blocks, wp_blocks, alpha: float) -> float:
+    """``min-eig(W - alpha * W_P)`` from the blocks of ``W`` and ``W_P``."""
+    return min(float(np.linalg.eigvalsh(w - alpha * wp)[0]) for w, wp in zip(w_blocks, wp_blocks))
 
 
-def _largest_valid_alpha(
-    witness: np.ndarray, projector_witness_mat: np.ndarray, hi: float = 10.0
-) -> float | None:
-    """Largest alpha in (0, hi] with min-eig(W - alpha*W_P) >= -LMI_ATOL.
+def _largest_valid_alpha(w_blocks, wp_blocks, hi: float = 10.0) -> float | None:
+    """Largest alpha in (0, hi] with min-eig(W - alpha*W_P) >= 0, from the blocks.
 
     The minimum eigenvalue is concave in alpha, so a bounded scalar search
-    locates the peak and a bisection walks down the right branch.
+    locates the peak and a bisection walks down the right branch.  Unlike a
+    given alpha, a derived one gets no ``LMI_ATOL`` slack.
     """
-
-    def slack(alpha: float) -> float:
-        return _certificate_slack(witness, projector_witness_mat, alpha)
-
+    slack = partial(_slack, w_blocks, wp_blocks)
     res = minimize_scalar(
         lambda a: -slack(a), bounds=(0.0, hi), method="bounded", options={"xatol": 1e-4}
     )
     peak = float(res.x)
-    if slack(peak) < -LMI_ATOL:
+    if slack(peak) < 0:
         return None
-    if slack(hi) >= -LMI_ATOL:
+    if slack(hi) >= 0:
         return hi
     lo, up = peak, hi
     while up - lo > 1e-6:
         mid = 0.5 * (lo + up)
-        if slack(mid) >= -LMI_ATOL:
+        if slack(mid) >= 0:
             lo = mid
         else:
             up = mid
@@ -331,19 +361,11 @@ def _largest_valid_alpha(
 def _with_derived_alpha(spec: WitnessSpec) -> WitnessSpec:
     """Attach the largest certifiable alpha to ``spec`` (if one exists)."""
     lam_sq = schmidt_max_sq(spec.target)
-    alpha = _largest_valid_alpha(spec.dense.mat, _projector_witness_matrix(spec.target, lam_sq))
+    wp_blocks = spec._projector_witness_blocks(lam_sq)
+    alpha = _largest_valid_alpha([w for _, w in spec.blocks], wp_blocks)
     if alpha is None:
         return spec
-    return WitnessSpec(
-        name=spec.name,
-        num_qubits=spec.num_qubits,
-        basis=spec.basis,
-        coefficients=spec.coefficients,
-        target=spec.target,
-        alpha=alpha,
-        lambda_sq=lam_sq,
-        alpha_source="derived",
-    )
+    return replace(spec, alpha=alpha, lambda_sq=lam_sq, alpha_source="derived")
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +505,14 @@ def catalog(name: str, q: float | None = None) -> WitnessSpec:
 # ---------------------------------------------------------------------------
 
 def expectation(witness: WitnessSpec, rho: DenseOperator) -> float:
-    """``Tr(W rho)`` for a unit-trace ``rho``."""
+    """``Tr(W rho)`` for a unit-trace ``rho``, as ``sum_j mult_j Tr(W_j rho_j)`` over the blocks."""
     if abs(rho.trace() - 1.0) > 1e-8:
         raise ValueError(f"rho has trace {rho.trace()!r}, expected 1")
-    return witness.dense.expectation(rho)
+    val = complex(sum(iso.shape[1] * np.sum(w.T * compress(rho.mat, iso))
+                      for iso, w in witness.blocks))
+    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
+        raise ValueError(f"expectation value has imaginary residue {val.imag:.3e}")
+    return val.real
 
 
 def noise_tolerance(

@@ -104,8 +104,6 @@ def test_compile_reconstructs_random_pi_operators():
 
 def test_compiled_catalog_witnesses_have_one_constant_term():
     for name in CATALOG_NAMES:
-        if name == "WP3_D105":  # the one 10-qubit witness; its build takes 20 s
-            continue
         schedule = compile_operator(catalog(name).dense)
         constants = [t for t in schedule.terms if t.setting is None]
         assert len(constants) <= 1, name

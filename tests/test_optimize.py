@@ -286,6 +286,7 @@ def test_fit_converges_when_noise_leaves_spin_blocks_free(p, want):
 @pytest.mark.parametrize("n, axes", [(4, "xy"), (4, "xyz"), (6, "xy"), (6, "xyz")])
 def test_fit_in_spin_blocks_matches_one_dense_block(n, axes, monkeypatch):
     import symwit.optimize as opt
+    import symwit.witnesses as wit
 
     sizes = []
     engine = opt._barrier_maximize
@@ -299,7 +300,8 @@ def test_fit_in_spin_blocks_matches_one_dense_block(n, axes, monkeypatch):
         dicke(n, n // 2), NoiseModel.white(n), collective_power_basis(n, tuple(axes))
     )
     _, blocks = optimize_witness(problem)
-    monkeypatch.setattr(opt, "is_permutation_invariant", lambda op: False)
+    monkeypatch.setattr(wit, "symmetric_amplitudes", lambda state: None)
+    problem = dataclasses.replace(problem)  # its blocks are cached
     _, dense = optimize_witness(problem)
     assert sizes == [n + 1, n + 1, 2**n, 2**n]  # the largest block has spin n/2
     assert blocks.converged and dense.converged

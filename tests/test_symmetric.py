@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from symwit.linalg import DenseOperator, op_power, pauli
+from symwit.linalg import DenseOperator, identity, op_power, pauli
 from symwit.symmetric import (
     collective_j,
     collective_power,
@@ -19,6 +19,7 @@ from symwit.symmetric import (
     symmetrize,
     w_state,
 )
+from symwit.witnesses import NoiseModel
 
 
 def test_dicke_amplitudes_combinatorial_oracle():
@@ -63,6 +64,9 @@ def test_dense_constructors_refuse_large_registers_before_allocating(monkeypatch
     for axis in ("x", (1.0, 1.0, 0.0)):
         with pytest.raises(ValueError, match="limited to 12"):
             collective_j(13, axis)
+    for build in (identity, NoiseModel.white):
+        with pytest.raises(ValueError, match="limited to 12"):
+            build(13)
 
 
 def test_w_state_is_single_excitation_dicke():

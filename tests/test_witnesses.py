@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symwit.linalg import DenseOperator, schmidt_max_sq
-from symwit.symmetric import dicke, symmetrize
+from symwit.linalg import (DenseOperator, StateVector, identity, kron_power, op_power, pauli,
+                           schmidt_max_sq)
+from symwit.symmetric import collective_j, collective_power, dicke, spin_blocks, symmetrize
 from symwit.witnesses import (
     CATALOG_NAMES,
     BasisTerm,
@@ -23,7 +29,34 @@ from symwit.witnesses import (
     wi3_witness,
 )
 
-CHEAP_NAMES = tuple(n for n in CATALOG_NAMES if n not in ("WP3_D105",))
+
+def dense_term(term: BasisTerm, n: int, target: StateVector) -> np.ndarray:
+    """A basis term as a dense 2^n operator, built from the dense constructors."""
+    if term.kind == "identity":
+        return identity(n).mat
+    if term.kind == "projector":
+        return target.density().mat
+    if term.kind == "tensor":
+        return kron_power(pauli(term.axis) + term.shift * identity(1), n).mat
+    if term.shift == 0.0:
+        return collective_power(n, term.axis, term.power).mat
+    return op_power(collective_j(n, term.axis) + term.shift * identity(n), term.power).mat
+
+
+def dense_witness(w: WitnessSpec) -> np.ndarray:
+    return sum(float(c) * dense_term(t, w.num_qubits, w.target)
+               for c, t in zip(w.coefficients, w.basis))
+
+
+def assert_blocks_compress(dense: np.ndarray, block_of) -> None:
+    """``block_of(j)`` equals ``V_c^T dense V_c`` on every copy ``c`` of every spin ``j``."""
+    n = int(math.log2(len(dense)))
+    atol = 1e-12 * max(1.0, float(np.max(np.abs(dense))))
+    for b in spin_blocks(n):
+        want = block_of(b.j)
+        for c in range(b.multiplicity):
+            v = b.isometry[:, c, :]
+            assert np.max(np.abs(v.T @ dense @ v - want), initial=0.0) <= atol, (n, b.j, c)
 
 
 def test_projector_witness_basics():
@@ -39,7 +72,7 @@ def test_projector_witness_basics():
 
 
 def test_catalog_names_resolve():
-    for name in CHEAP_NAMES:
+    for name in CATALOG_NAMES:
         w = catalog(name)
         assert w.name == name
         assert w.dense.is_hermitian(1e-10)
@@ -192,5 +225,78 @@ def test_wp3_d84_has_no_alpha_certificate():
 
     spec = catalog("WP3_D84")
     assert spec.alpha is None
-    wp = schmidt_max_sq(spec.target) * np.eye(spec.dense.dim) - spec.target.density().mat
-    assert _largest_valid_alpha(spec.dense.hermitized().mat, wp) is None
+    wp = spec._projector_witness_blocks(schmidt_max_sq(spec.target))
+    assert _largest_valid_alpha([w for _, w in spec.blocks], wp) is None
+
+
+def test_derived_alpha_is_certified_with_no_slack():
+    spec = catalog("WP3_D105")
+    assert spec.alpha_source == "derived"
+    assert spec.certificate_slack >= 0
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_blocks_are_the_compressed_dense_witness(name):
+    w = catalog(name)
+    amps = spin_blocks(w.num_qubits)[0].isometry[:, 0, :].T @ w.target.vec
+    coeffs = [float(c) for c in w.coefficients]
+    assert_blocks_compress(dense_witness(w), lambda j: sum(
+        c * t.block(w.num_qubits, j, amps) for c, t in zip(coeffs, w.basis)))
+
+
+def test_random_basis_term_blocks_are_the_compressed_dense_terms():
+    rng = np.random.default_rng(33)
+    for n in range(1, 7):
+        for axis in "xyz":
+            shift = float(rng.uniform(-2.0, 2.0))
+            terms = [BasisTerm("tensor", axis, n, shift)] + [
+                BasisTerm("collective", axis, power, shift) for power in (1, 2, 3)]
+            for term in terms:
+                assert_blocks_compress(dense_term(term, n, dicke(n, 0)),
+                                       lambda j, t=term: t.block(n, j, None))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(2, 5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_expectation_on_any_state_is_the_dense_trace(n, symmetric, seed):
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    if symmetric:
+        target = dicke(n, int(rng.integers(0, n + 1)))
+    else:  # the witness is then one dense block
+        target = StateVector.normalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    axes = rng.choice(list("xyz"), 2)
+    shifts = rng.uniform(-2.0, 2.0, 2)
+    basis = (BasisTerm("identity"), BasisTerm("projector"),
+             BasisTerm("collective", axes[0], int(rng.integers(1, 5)), float(shifts[0])),
+             BasisTerm("tensor", axes[1], n, float(shifts[1])))
+    w = WitnessSpec("random", n, basis, tuple(rng.uniform(-1.0, 1.0, len(basis))), target)
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = raw @ raw.conj().T
+    rho /= np.trace(rho).real
+    dense = dense_witness(w)
+    want = float(np.real(np.trace(dense @ rho)))
+    assert abs(expectation(w, DenseOperator(rho)) - want) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
+    assert np.max(np.abs(w.dense.mat - dense)) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
+
+
+_NONFINITE = [
+    ("alpha", math.nan), ("alpha", math.inf), ("lambda_sq", math.nan), ("lambda_sq", -math.inf),
+    ("coefficients", math.nan), ("coefficients", math.inf), ("shift", math.nan),
+    ("shift", math.inf), ("power", 2.5), ("target", math.nan),
+]
+
+
+@pytest.mark.parametrize("field, value", _NONFINITE)
+def test_non_finite_witness_data_is_refused(field, value):
+    payload = json.loads(catalog("WP3_D42").to_json())
+    if field in ("alpha", "lambda_sq"):
+        payload[field] = value
+    elif field == "coefficients":
+        payload[field][1] = value
+    elif field == "target":
+        payload[field][0][0] = value
+    else:
+        payload["basis_terms"][1][field] = value
+    with pytest.raises(ValueError):
+        WitnessSpec.from_json(json.dumps(payload))
