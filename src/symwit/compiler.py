@@ -23,7 +23,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .linalg import DenseOperator, _SIGMA, _kron_all
-from .symmetric import is_permutation_invariant, symmetrize
+from .symmetric import _hamming_weights, is_permutation_invariant
 
 _ZERO_SNAP = 1e-12
 
@@ -332,19 +332,18 @@ class PauliClass:
     def weight(self) -> int:
         return self.i + self.j + self.m
 
-    def arrangement_count(self, num_qubits: int) -> int:
-        r = num_qubits - self.weight()
-        return (
-            math.factorial(num_qubits)
-            // (math.factorial(self.i) * math.factorial(self.j)
-                * math.factorial(self.m) * math.factorial(r))
-        )
-
-    def letters(self, num_qubits: int) -> list[str]:
+    def blocks(self, num_qubits: int) -> tuple[int, int, int, int]:
+        """Numbers of x, y, z and identity factors on ``num_qubits`` qubits."""
         r = num_qubits - self.weight()
         if r < 0:
             raise ValueError(f"class {self} does not fit on {num_qubits} qubits")
-        return ["x"] * self.i + ["y"] * self.j + ["z"] * self.m + ["i"] * r
+        return self.i, self.j, self.m, r
+
+    def arrangement_count(self, num_qubits: int) -> int:
+        return math.factorial(num_qubits) // math.prod(map(math.factorial, self.blocks(num_qubits)))
+
+    def letters(self, num_qubits: int) -> list[str]:
+        return [a for a, k in zip("xyzi", self.blocks(num_qubits)) for _ in range(k)]
 
     def realization(self, num_qubits: int) -> DenseOperator:
         total = np.zeros((2**num_qubits, 2**num_qubits), dtype=complex)
@@ -387,32 +386,36 @@ class PauliPolynomial:
         return DenseOperator(total)
 
 
-def pauli_decompose(a: DenseOperator, atol: float = 1e-10) -> PauliPolynomial:
+def pauli_decompose(a: DenseOperator) -> PauliPolynomial:
     """Expand a PI Hermitian operator over symmetrized Pauli classes.
 
-    The operator is first projected exactly onto the PI subspace (a no-op up
-    to the stated tolerance); each class coefficient is then read off a single
-    representative Pauli string, which is valid precisely because of the
-    permutation invariance.  ``P`` has one nonzero per row, so ``Tr(A P) =
-    i^j sum_c A[c, c^f] (-1)^popcount(c&g)`` (f: x, y qubits; g: y, z qubits).
+    Each class coefficient is read straight off one representative Pauli
+    string ``P``, with no projection onto the PI space.  ``P`` has one nonzero
+    per row, so ``Tr(A P) = i^j sum_c A[c, c^f] (-1)^popcount(c&g)`` (f: x, y
+    qubits; g: y, z qubits), and the N+1 flip diagonals ``A[c, c^f]`` serve
+    every class.  An input that passes ``is_permutation_invariant`` (each
+    adjacent swap moves no entry by ``PI_ATOL`` or more) gets coefficients
+    within ``N(N-1)/2 * PI_ATOL`` of those of its PI projection, because every
+    permutation is a product of at most N(N-1)/2 adjacent swaps; on an exactly
+    PI operator the read is exact.
     """
     n = a.num_qubits
     defect = a.hermiticity_defect()
     if defect >= 1e-12:
         raise ValueError(f"operator is not Hermitian: defect {defect:.3e}")
-    if not is_permutation_invariant(a, atol):
+    if not is_permutation_invariant(a):
         raise ValueError("operator is not permutation invariant within tolerance")
-    sym = symmetrize(a).hermitized()
-    scale = max(1.0, float(np.max(np.abs(sym.mat))))
+    scale = max(1.0, float(np.max(np.abs(a.mat))))
     rows = np.arange(2**n)
+    parity = _hamming_weights(n) & 1
+    flipped = [a.mat[rows, rows ^ ((2**k - 1) << (n - k))] for k in range(n + 1)]
     classes: list[PauliClass] = []
     for i in range(n + 1):
         for j in range(n + 1 - i):
             for m in range(n + 1 - i - j):
-                flip = (2 ** (i + j) - 1) << (n - i - j)
-                letters = PauliClass(i, j, m).letters(n)
-                signs = _kron_all(np.array([1.0, -1.0 if q in "yz" else 1.0]) for q in letters)
-                coeff = 1j**j * complex(sym.mat[rows, rows ^ flip] @ signs) / 2**n
+                yz = (2 ** (j + m) - 1) << (n - i - j - m)
+                signs = 1 - 2 * parity[rows & yz]
+                coeff = 1j**j * complex(flipped[i + j] @ signs) / 2**n
                 if abs(coeff.imag) > 1e-10 * scale:
                     raise ValueError("non-real Pauli coefficient on a Hermitian input")
                 if abs(coeff.real) > 1e-12 * scale:
@@ -434,7 +437,7 @@ def symmetrized_product_to_powers(cls: PauliClass, num_qubits: int) -> list[Loca
 
     a combination of at most (i+1)(j+1)(m+1)(r+1) terms.
     """
-    blocks = tuple(cls.letters(num_qubits).count(axis) for axis in "xyzi")
+    blocks = cls.blocks(num_qubits)
     base = cls.coefficient / (2**num_qubits * math.prod(map(math.factorial, blocks)))
     terms: list[LocalTerm] = []
     for minus in product(*(range(k + 1) for k in blocks)):

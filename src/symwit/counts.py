@@ -24,7 +24,7 @@ per-setting multinomial bootstrap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -149,14 +149,7 @@ class TermEstimate:
     contribution: float
 
     def to_json(self) -> dict:
-        return {
-            "setting": list(self.setting) if self.setting is not None else None,
-            "scale": self.scale,
-            "identity_weight": self.identity_weight,
-            "coefficient": self.coefficient,
-            "mean": self.mean,
-            "contribution": self.contribution,
-        }
+        return {**asdict(self), "setting": list(self.setting) if self.setting is not None else None}
 
 
 @dataclass(frozen=True)
@@ -175,13 +168,7 @@ class EvaluationResult:
     per_term: tuple[TermEstimate, ...]
 
     def to_json(self) -> dict:
-        return {
-            "witness_value": self.witness_value,
-            "standard_error": self.standard_error,
-            "fidelity_bound": self.fidelity_bound,
-            "fidelity_bound_error": self.fidelity_bound_error,
-            "per_term": [t.to_json() for t in self.per_term],
-        }
+        return {**asdict(self), "per_term": [t.to_json() for t in self.per_term]}
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +203,8 @@ def _born_probabilities(
         # U^dag rho U is U^dag applied to the rows of (U^dag rho)^dag = rho U
         half = _rotate(state.mat, frame_dag, num_qubits)
         probs = np.real(np.diagonal(_rotate(half.conj().T, frame_dag, num_qubits)))
-    probs = np.clip(probs, 0.0, None)
+    # rotation rounding is ~1e-16: zero it, so that a seeded draw does not hinge on last bits
+    probs = np.where(probs < 1e-14, 0.0, probs)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"outcome probabilities sum to {total}, not 1")

@@ -229,8 +229,7 @@ def hermitian_eig(a: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors.  The input must be Hermitian to within 1e-12 entrywise;
     the residual asymmetry is symmetrized away before factorization.
     """
-    w, v = np.linalg.eigh(_hermitian_part(a))
-    return w, v
+    return np.linalg.eigh(_hermitian_part(a))
 
 
 def min_eig(a: DenseOperator) -> float:

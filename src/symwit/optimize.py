@@ -25,7 +25,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linalg import (
     DenseOperator,
@@ -464,6 +463,15 @@ def optimize_witness(
 # ---------------------------------------------------------------------------
 
 
+def _proper_part(bipartition, num_qubits: int) -> tuple[int, ...]:
+    """The sorted distinct qubits of one part; refused unless a proper subset of 1..N."""
+    n = num_qubits
+    part = tuple(sorted(set(int(q) for q in bipartition)))
+    if not part or len(part) >= n or any(q < 1 or q > n for q in part):
+        raise ValueError(f"bipartition {part} is not a proper subset of 1..{n}")
+    return part
+
+
 @dataclass(frozen=True)
 class PptProblem:
     """Maximize ``Tr(M rho)`` over states PPT across one bipartition.
@@ -483,10 +491,7 @@ class PptProblem:
         n = self.objective.num_qubits
         if n > PPT_MAX_QUBITS:
             raise ValueError(f"PPT maximization is limited to {PPT_MAX_QUBITS} qubits")
-        part = tuple(sorted(set(int(q) for q in self.bipartition)))
-        if not part or len(part) >= n or any(q < 1 or q > n for q in part):
-            raise ValueError(f"bipartition {part} is not a proper subset of 1..{n}")
-        object.__setattr__(self, "bipartition", part)
+        object.__setattr__(self, "bipartition", _proper_part(self.bipartition, n))
 
 
 class PptResult(NamedTuple):
@@ -739,9 +744,7 @@ def max_bisep_seesaw(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     n = objective.num_qubits
-    part = tuple(sorted(set(int(q) for q in bipartition)))
-    if not part or len(part) >= n or any(q < 1 or q > n for q in part):
-        raise ValueError(f"bipartition {part} is not a proper subset of 1..{n}")
+    part = _proper_part(bipartition, n)
     prefix = tuple(range(1, len(part) + 1))
     m = objective
     if part != prefix:
@@ -810,6 +813,8 @@ def max_symmetric_product(
     Parameterizes the qubit by Bloch angles and runs Nelder-Mead from
     seeded random starts; the best value found is returned.
     """
+    from scipy.optimize import minimize  # deferred: scipy.optimize is slow to import
+
     cfg = config or SolverConfig()
     if restarts is None:
         restarts = cfg.seesaw_restarts

@@ -14,6 +14,15 @@ from .linalg import DenseOperator, StateVector, _SIGMA, _check_dense_size, _kron
 PI_ATOL = 1e-10
 
 
+@lru_cache(maxsize=16)
+def _hamming_weights(num_qubits: int) -> np.ndarray:
+    """Read-only number of ``|1>`` factors of every basis index ``0 .. 2^N - 1``."""
+    idx = np.arange(2**num_qubits)
+    weights = sum((idx >> b) & 1 for b in range(num_qubits))
+    weights.setflags(write=False)
+    return weights
+
+
 def dicke(num_qubits: int, excitations: int) -> StateVector:
     """Symmetric Dicke state with a fixed number of excited qubits.
 
@@ -27,19 +36,13 @@ def dicke(num_qubits: int, excitations: int) -> StateVector:
         raise ValueError(f"excitations must lie in 0..{n}, got {m}")
     _check_dense_size(n)
     vec = np.zeros(2**n, dtype=complex)
-    vec[[bin(i).count("1") == m for i in range(2**n)]] = 1.0 / math.sqrt(math.comb(n, m))
+    vec[_hamming_weights(n) == m] = 1.0 / math.sqrt(math.comb(n, m))
     return StateVector(vec)
 
 
 def w_state(num_qubits: int) -> StateVector:
     """Single-excitation Dicke state."""
     return dicke(num_qubits, 1)
-
-
-def _embed_single(op2: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    left = np.eye(2 ** (qubit - 1), dtype=complex)
-    right = np.eye(2 ** (num_qubits - qubit), dtype=complex)
-    return _kron_all([left, op2, right])
 
 
 def collective_j(num_qubits: int, axis) -> DenseOperator:
@@ -63,9 +66,7 @@ def collective_j(num_qubits: int, axis) -> DenseOperator:
             raise ValueError("direction vector must be nonzero")
         v = v / nrm
         local = v[0] * _SIGMA["x"] + v[1] * _SIGMA["y"] + v[2] * _SIGMA["z"]
-    total = np.zeros((2**n, 2**n), dtype=complex)
-    for q in range(1, n + 1):
-        total += _embed_single(local, q, n)
+    total = sum(_kron_all([np.eye(2**q), local, np.eye(2 ** (n - 1 - q))]) for q in range(n))
     return DenseOperator(0.5 * total)
 
 
@@ -180,7 +181,7 @@ def spin_blocks(num_qubits: int) -> tuple[SpinBlock, ...]:
     if p < 1:
         raise ValueError("num_qubits must be >= 1")
     j_plus = np.real(collective_j(p, "x").mat + 1j * collective_j(p, "y").mat)
-    weight = np.array([bin(i).count("1") for i in range(2**p)])
+    weight = _hamming_weights(p)
     blocks = []
     for w in range(p // 2 + 1):
         j = p / 2 - w

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from numbers import Integral
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .linalg import (
     DenseOperator,
@@ -82,12 +81,7 @@ class BasisTerm:
         return (op + op.conj().T) / 2
 
     def json_entry(self) -> dict:
-        return {
-            "kind": self.kind,
-            "axis": self.axis,
-            "power": self.power,
-            "shift": float(self.shift),
-        }
+        return {**asdict(self), "shift": float(self.shift)}
 
     @classmethod
     def from_json_entry(cls, entry: dict) -> "BasisTerm":
@@ -208,8 +202,10 @@ class NoiseModel:
             raise ValueError("noise state is not Hermitian")
         if abs(rho.trace() - 1.0) > 1e-10:
             raise ValueError("noise state trace differs from 1")
-        if float(np.linalg.eigvalsh(rho.hermitized().mat)[0]) < -1e-10:
-            raise ValueError("noise state is not positive semidefinite")
+        try:  # a Cholesky factor of rho + 1e-10 exists iff min-eig(rho) > -1e-10
+            np.linalg.cholesky(rho.hermitized().mat + 1e-10 * np.eye(rho.dim))
+        except np.linalg.LinAlgError:
+            raise ValueError("noise state is not positive semidefinite") from None
 
     @classmethod
     def white(cls, num_qubits: int) -> "NoiseModel":
@@ -339,6 +335,8 @@ def _largest_valid_alpha(w_blocks, wp_blocks, hi: float = 10.0) -> float | None:
     locates the peak and a bisection walks down the right branch.  Unlike a
     given alpha, a derived one gets no ``LMI_ATOL`` slack.
     """
+    from scipy.optimize import minimize_scalar  # deferred: scipy.optimize is slow to import
+
     slack = partial(_slack, w_blocks, wp_blocks)
     res = minimize_scalar(
         lambda a: -slack(a), bounds=(0.0, hi), method="bounded", options={"xatol": 1e-4}

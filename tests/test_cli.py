@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import symwit
 from symwit.cli import main
 
 
@@ -13,6 +17,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize takes most of the import time; only two solvers load it, on first call
+    src = os.path.dirname(os.path.dirname(symwit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import symwit, symwit.cli, sys; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_settings_bound_text_and_json(capsys):

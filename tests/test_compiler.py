@@ -20,7 +20,8 @@ from symwit.compiler import (
     symmetrized_product_to_powers,
 )
 from symwit.linalg import DenseOperator, pauli, pauli_string
-from symwit.symmetric import collective_power, dicke, symmetrize
+from symwit.symmetric import (PI_ATOL, collective_power, dicke, is_permutation_invariant,
+                              symmetrize)
 from symwit.witnesses import CATALOG_NAMES, catalog
 
 
@@ -78,7 +79,7 @@ def test_pauli_decompose_rejects_bad_inputs():
 
 def test_pauli_decompose_matches_dense_traces():
     rng = np.random.default_rng(23)
-    for n in range(1, 6):
+    for n in range(1, 8):
         raw = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
         op = symmetrize(DenseOperator((raw + raw.conj().T) / 2)).hermitized()
         got = {(c.i, c.j, c.m): c.coefficient for c in pauli_decompose(op).classes}
@@ -88,6 +89,28 @@ def test_pauli_decompose_matches_dense_traces():
                     rep = pauli_string(PauliClass(i, j, m).letters(n)).mat
                     want = np.trace(op.mat @ rep).real / 2**n
                     assert abs(got.get((i, j, m), 0.0) - want) < 1e-12, (n, i, j, m)
+
+
+def test_pauli_decompose_tolerance_contract():
+    # a PI operator plus a non-PI perturbation that still passes the PI check:
+    # every coefficient is within N(N-1)/2 * PI_ATOL of its PI projection's
+    rng = np.random.default_rng(24)
+    for n in (3, 5):
+        dim = 2**n
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        base = symmetrize(DenseOperator((raw + raw.conj().T) / 2)).hermitized().mat
+        u = rng.uniform(0, 1, (dim, dim)) * np.exp(2j * np.pi * rng.uniform(0, 1, (dim, dim)))
+        op = DenseOperator(base + 3e-11 * (u + u.conj().T) / 2)
+        assert is_permutation_invariant(op) and not is_permutation_invariant(op, 1e-12)
+        proj = symmetrize(op).mat
+        got = {(c.i, c.j, c.m): c.coefficient for c in pauli_decompose(op).classes}
+        bound = n * (n - 1) / 2 * PI_ATOL
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                for m in range(n + 1 - i - j):
+                    rep = pauli_string(PauliClass(i, j, m).letters(n)).mat
+                    want = np.trace(proj @ rep).real / dim
+                    assert abs(got.get((i, j, m), 0.0) - want) <= bound, (n, i, j, m)
 
 
 def test_compile_reconstructs_random_pi_operators():

@@ -88,6 +88,17 @@ def test_bootstrap_is_seed_deterministic():
     assert r1.witness_value == r3.witness_value  # value has no randomness
 
 
+def test_seeded_counts_ignore_last_bit_probabilities():
+    # a Born probability of 1e-30 where the exact one is 0 leaves every draw as it was
+    rho = np.array(dicke(4, 2).density().mat)
+    nudged = rho.copy()
+    nudged[0, 0] += 1e-30
+    schedule = single_term_schedule(4, (0, 0, 1))
+    texts = [simulate_counts(DenseOperator(m), schedule, 1000, seed=3).to_ndjson()
+             for m in (rho, nudged)]
+    assert texts[0] == texts[1]
+
+
 def test_ndjson_round_trip_is_byte_stable():
     schedule = compile_operator(catalog("WP_D42").dense).merged()
     data = simulate_counts(dicke(4, 2), schedule, shots_per_setting=500, seed=2)

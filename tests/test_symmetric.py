@@ -10,6 +10,7 @@ import pytest
 
 from symwit.linalg import DenseOperator, identity, op_power, pauli
 from symwit.symmetric import (
+    _hamming_weights,
     collective_j,
     collective_power,
     dicke,
@@ -20,6 +21,13 @@ from symwit.symmetric import (
     w_state,
 )
 from symwit.witnesses import NoiseModel
+
+
+def test_hamming_weights_table():
+    for n in (1, 5, 10):
+        table = _hamming_weights(n)
+        assert table.tolist() == [bin(i).count("1") for i in range(2**n)]
+        assert not table.flags.writeable
 
 
 def test_dicke_amplitudes_combinatorial_oracle():

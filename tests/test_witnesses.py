@@ -214,6 +214,19 @@ def test_noise_model_validation():
     assert abs(white.rho_noise.trace() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("min_eig, accepted", [(-2e-10, False), (-5e-11, True)])
+def test_noise_model_positivity_boundary(min_eig, accepted):
+    # the positivity check refuses a noise state below min-eig -1e-10, in any basis
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 8)) + 0j)
+    vals = np.array([0.5 - min_eig, 0.3, 0.2, 0.0, 0.0, 0.0, 0.0, min_eig])
+    rho = DenseOperator((q * vals) @ q.conj().T).hermitized()
+    if accepted:
+        NoiseModel.custom(rho)
+    else:
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            NoiseModel.custom(rho)
+
+
 def test_expectation_rejects_unnormalized():
     w = catalog("WP_D41")
     with pytest.raises(ValueError):
