@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -335,7 +336,9 @@ def _witness_flags(parser, with_q=True):
                             help="penalty strength for the q-parameterized witness")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``symwit`` argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="symwit",
         description="Witnesses and measurement schedules for symmetric multi-qubit states.",
@@ -434,10 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, _ in _GLOBALS:
-        name = "fmt" if flag == "--format" else flag.lstrip("-")
-        if not hasattr(args, name):
-            setattr(args, name, None)
     try:
         cfg = _load_config(args)
         return args.handler(args, cfg)

@@ -17,8 +17,11 @@ spelling of one direction lands in the same group.
 
 A schedule term ``coefficient * (scale * (n . sigma) + w * 1)^{(x) N}`` has
 the unbiased single-shot estimator ``coefficient * prod_k (w + scale * o_k)``
-with ``o_k = +-1`` the outcome of qubit ``k``; statistical errors come from a
-per-setting multinomial bootstrap.
+with ``o_k = +-1`` the outcome of qubit ``k``.  It depends only on the number
+``h`` of ``+`` outcomes, so evaluation reads each setting's histogram of ``h``
+over ``0..N``, and the error bars come from a multinomial bootstrap of that
+histogram: a sum of multinomial cells is multinomial, so this has the
+distribution of a bootstrap over outcome patterns.
 """
 
 from __future__ import annotations
@@ -83,20 +86,18 @@ class CountsDataset:
                     f"outcome string {rec.outcomes!r} does not have {self.num_qubits} characters"
                 )
 
-    def grouped(self) -> list[tuple[Setting, list[str], np.ndarray]]:
-        """Aggregate records per distinct setting, in first-appearance order.
+    def weight_counts(self) -> list[tuple[Setting, np.ndarray]]:
+        """Shots per distinct setting binned by their number of ``+`` outcomes.
 
-        Returns ``(setting, outcome_patterns, counts)`` triples with duplicate
-        patterns merged; the order defines the bootstrap task index.
+        Returns ``(setting, hist)`` pairs in first-appearance order, where
+        ``hist[h]`` (``h = 0..N``) counts the shots with ``h`` pluses; the
+        order defines the bootstrap task index.
         """
-        groups: dict[Setting, dict[str, int]] = {}
+        hists: dict[Setting, list[int]] = {}
         for rec in self.records:
-            table = groups.setdefault(rec.setting, {})
-            table[rec.outcomes] = table.get(rec.outcomes, 0) + rec.count
-        return [
-            (setting, list(table.keys()), np.array(list(table.values()), dtype=np.int64))
-            for setting, table in groups.items()
-        ]
+            hist = hists.setdefault(rec.setting, [0] * (self.num_qubits + 1))
+            hist[rec.outcomes.count("+")] += rec.count
+        return [(setting, np.array(hist, dtype=np.int64)) for setting, hist in hists.items()]
 
     def total_shots(self) -> int:
         return int(sum(rec.count for rec in self.records))
@@ -256,15 +257,12 @@ def simulate_counts(
 # ---------------------------------------------------------------------------
 
 
-def _term_factors(term: LocalTerm, patterns: list[str]) -> np.ndarray:
-    """Per-pattern estimator ``prod_k (w + scale * o_k)`` for one term."""
+def _term_factors(term: LocalTerm, num_qubits: int) -> np.ndarray:
+    """Estimator ``prod_k (w + scale * o_k)`` of a shot with ``h`` pluses, for ``h = 0..N``."""
     w = float(term.identity_weight)
     s = float(term.scale)
-    out = np.empty(len(patterns))
-    for i, pattern in enumerate(patterns):
-        plus = pattern.count("+")
-        out[i] = (w + s) ** plus * (w - s) ** (len(pattern) - plus)
-    return out
+    plus = np.arange(num_qubits + 1)
+    return (w + s) ** plus * (w - s) ** (num_qubits - plus)
 
 
 def evaluate_counts(
@@ -275,58 +273,54 @@ def evaluate_counts(
 ) -> EvaluationResult:
     """Estimate the schedule's observable from counts, with bootstrap errors.
 
-    Every term is averaged against the empirical outcome distribution of its
-    setting (exactly linear in the term coefficients); missing settings raise
-    a :class:`ValueError`.  The standard error is the standard deviation over
-    ``bootstrap_samples`` multinomial resamples, drawn per setting from a
-    generator seeded with ``seed`` plus the setting's position in the data.
+    Every term is averaged against its setting's histogram of ``+`` counts
+    (:meth:`CountsDataset.weight_counts`; exactly linear in the term
+    coefficients); missing settings raise a :class:`ValueError`.  The standard
+    error is the standard deviation over ``bootstrap_samples`` multinomial
+    resamples of each histogram (distributed as resamples of the outcome
+    patterns), drawn from a generator seeded with ``seed`` plus the setting's
+    position in the data.  ``0`` samples give no error bar (0.0); a negative
+    count or a single resample, which has no spread, raises :class:`ValueError`.
     """
+    if bootstrap_samples < 0 or bootstrap_samples == 1:
+        raise ValueError(f"bootstrap_samples must be 0 or at least 2, got {bootstrap_samples}")
     if dataset.num_qubits != schedule.num_qubits:
         raise ValueError("dataset and schedule disagree on the qubit number")
-    groups = dataset.grouped()
-    group_index = {setting: gi for gi, (setting, _, _) in enumerate(groups)}
+    n = schedule.num_qubits
+    groups = dataset.weight_counts()
+    group_index = {setting: gi for gi, (setting, _) in enumerate(groups)}
     resamples: dict[int, np.ndarray] = {}
 
-    boot = np.zeros(max(bootstrap_samples, 1))
+    boot = np.zeros(bootstrap_samples)
     per_term = []
     value = 0.0
     for term in schedule.terms:
         coeff = float(term.coefficient)
         if term.setting is None:
-            mean = float(term.identity_weight) ** schedule.num_qubits
-            contribution = coeff * mean
-            boot += contribution
-            per_term.append(
-                TermEstimate(None, term.scale, term.identity_weight, coeff, mean, contribution)
-            )
+            mean = float(term.identity_weight) ** n
+            boot += coeff * mean
         else:
             gi = group_index.get(term.setting)
             if gi is None:
                 raise ValueError(f"no counts found for setting {term.setting!r}")
-            _, patterns, counts = groups[gi]
-            total = int(counts.sum())
+            hist = groups[gi][1]
+            total = int(hist.sum())
             if total == 0:
                 raise ValueError(f"setting {term.setting!r} has zero total shots")
-            factors = _term_factors(term, patterns)
-            mean = float(factors @ counts) / total
-            contribution = coeff * mean
-            if bootstrap_samples > 0:
+            factors = _term_factors(term, n)
+            mean = float(factors @ hist) / total
+            if bootstrap_samples:
                 if gi not in resamples:  # one resample per setting, drawn when first used
                     rng = np.random.default_rng(seed + gi)
-                    resamples[gi] = rng.multinomial(total, counts / total, size=bootstrap_samples)
+                    resamples[gi] = rng.multinomial(total, hist / total, size=bootstrap_samples)
                 boot += coeff * (resamples[gi] @ factors) / total
-            per_term.append(
-                TermEstimate(
-                    tuple(term.setting.json_entry()),
-                    term.scale,
-                    term.identity_weight,
-                    coeff,
-                    mean,
-                    contribution,
-                )
-            )
+        contribution = coeff * mean
+        setting = None if term.setting is None else tuple(term.setting.json_entry())
+        per_term.append(
+            TermEstimate(setting, term.scale, term.identity_weight, coeff, mean, contribution)
+        )
         value += contribution
-    error = float(np.std(boot, ddof=1)) if bootstrap_samples > 1 else 0.0
+    error = float(np.std(boot, ddof=1)) if bootstrap_samples else 0.0
     return EvaluationResult(
         witness_value=value,
         standard_error=error,

@@ -752,7 +752,9 @@ def max_bisep_seesaw(
         m = permute_qubits(objective, perm)
     dim_a = 2 ** len(part)
     dim_b = 2 ** (n - len(part))
-    m_tensor = m.mat.reshape(dim_a, dim_b, dim_a, dim_b)
+    # reshuffle[(j, l), (i, k)] = M[(i, j), (k, l)], so each partial contraction is a matmul
+    reshuffle = m.mat.reshape(dim_a, dim_b, dim_a, dim_b).transpose(1, 3, 0, 2)
+    reshuffle = reshuffle.reshape(dim_b**2, dim_a**2)
     vec_b = np.empty((restarts, dim_b), dtype=complex)
     for r in range(restarts):
         vec_b[r] = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
@@ -763,9 +765,11 @@ def max_bisep_seesaw(
         if not active.size:
             break
         vb = vec_b[active]
-        m_a = np.einsum("ijkl,rj,rl->rik", m_tensor, vb.conj(), vb)
+        outer_b = (vb.conj()[:, :, None] * vb[:, None, :]).reshape(-1, dim_b**2)
+        m_a = (outer_b @ reshuffle).reshape(-1, dim_a, dim_a)
         vec_a = np.linalg.eigh(m_a)[1][:, :, -1]
-        m_b = np.einsum("ijkl,ri,rk->rjl", m_tensor, vec_a.conj(), vec_a)
+        outer_a = (vec_a.conj()[:, :, None] * vec_a[:, None, :]).reshape(-1, dim_a**2)
+        m_b = (outer_a @ reshuffle.T).reshape(-1, dim_b, dim_b)
         vals, vecs = np.linalg.eigh(m_b)
         vec_b[active] = vecs[:, :, -1]
         new, old = vals[:, -1], values[active]

@@ -104,15 +104,6 @@ def permute_qubits(a: DenseOperator, perm) -> DenseOperator:
     return DenseOperator(out)
 
 
-def _swap_conjugate(mat: np.ndarray, num_qubits: int, q1: int, q2: int) -> np.ndarray:
-    perm = list(range(1, num_qubits + 1))
-    perm[q1 - 1], perm[q2 - 1] = perm[q2 - 1], perm[q1 - 1]
-    dest = _permutation_index_map(num_qubits, tuple(perm))
-    out = np.empty_like(mat)
-    out[np.ix_(dest, dest)] = mat
-    return out
-
-
 def symmetrize(a: DenseOperator) -> DenseOperator:
     """Orthogonal projection onto the permutation-invariant operator space.
 
@@ -125,8 +116,9 @@ def symmetrize(a: DenseOperator) -> DenseOperator:
     out = np.array(a.mat, copy=True)
     for k in range(2, n + 1):
         acc = out.copy()  # t = k term (identity)
+        tensor = out.reshape([2] * 2 * n)  # row bits, then column bits
         for t in range(1, k):
-            acc += _swap_conjugate(out, n, t, k)
+            acc += tensor.swapaxes(t - 1, k - 1).swapaxes(n + t - 1, n + k - 1).reshape(acc.shape)
         out = acc / k
     return DenseOperator(out)
 
@@ -135,12 +127,19 @@ def is_permutation_invariant(a: DenseOperator, atol: float = PI_ATOL) -> bool:
     """True when conjugation by every adjacent transposition changes nothing.
 
     Adjacent transpositions generate the full symmetric group, so this is
-    equivalent to invariance under all N! permutations.
+    equivalent to invariance under all N! permutations.  Only the entries a
+    swap moves (row or column bits k, k+1 differ) are compared.
     """
     n = a.num_qubits
     for k in range(1, n):
-        swapped = _swap_conjugate(a.mat, n, k, k + 1)
-        if np.max(np.abs(swapped - a.mat)) >= atol:
+        left, right = 2 ** (k - 1), 2 ** (n - k - 1)
+        t = a.mat.reshape(left, 2, 2, right, left, 2, 2, right)
+        moved = (
+            t[:, 0, 1] - t[:, 1, 0].swapaxes(3, 4),  # row bits differ
+            t[:, 0, 0, :, :, 0, 1] - t[:, 0, 0, :, :, 1, 0],  # row bits agree, column bits differ
+            t[:, 1, 1, :, :, 0, 1] - t[:, 1, 1, :, :, 1, 0],
+        )
+        if max(np.max(np.abs(d)) for d in moved) >= atol:
             return False
     return True
 

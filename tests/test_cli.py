@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import symwit
-from symwit.cli import main
+from symwit.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -261,6 +261,35 @@ def test_eval_counts_checks_the_schedule_realizes_the_witness(capsys, tmp_path):
                      "--counts", str(counts), "--bootstrap", "10"])
         assert code == want
     assert "does not realize the witness" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["-5", "1"])
+def test_degenerate_bootstrap_count_exits_3(capsys, tmp_path, samples):
+    counts = tmp_path / "counts.ndjson"
+    assert main(["simulate", "--witness", "WP_D42", "--shots", "100", "--out", str(counts)]) == 0
+    code = main(["eval-counts", "--witness", "WP_D42", "--counts", str(counts),
+                 "--bootstrap", samples])
+    assert code == 3
+    assert "bootstrap_samples" in capsys.readouterr().err
+
+
+def test_reused_parser_gives_the_outputs_of_fresh_ones(capsys, tmp_path):
+    counts = tmp_path / "counts.ndjson"
+    assert main(["simulate", "--witness", "WP_D42", "--shots", "200", "--out", str(counts)]) == 0
+    calls = [
+        ["eval-counts", "--witness", "WP_D42", "--counts", str(counts), "--bootstrap", "10"],
+        ["eval-counts", "--witness", "WP_D42", "--counts", str(counts)],
+        ["dicke", "--n", "3", "--m", "1", "--format", "csv"],
+        ["dicke", "--n", "3", "--m", "1"],
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert reused[0][1] != reused[1][1] and reused[2][1] != reused[3][1]
+    assert all(code == 0 for code, _, _ in reused)
 
 
 def test_non_integer_count_exits_3(capsys, tmp_path):

@@ -88,6 +88,28 @@ def test_bootstrap_is_seed_deterministic():
     assert r1.witness_value == r3.witness_value  # value has no randomness
 
 
+def test_bootstrap_error_matches_the_ideal_bootstrap():
+    # resampling each setting's + count histogram: the ideal bootstrap variance is
+    # sum_g Var_g(F) / T_g, F_h the setting's summed per-shot estimator at h pluses
+    w = catalog("WP_D42")
+    schedule = compile_operator(w.dense).merged()
+    rho = DenseOperator(0.8 * dicke(4, 2).density().mat + 0.2 * np.eye(16) / 16)
+    data = simulate_counts(rho, schedule, shots_per_setting=500, seed=29)
+    result = evaluate_counts(schedule, data, bootstrap_samples=20_000, seed=31)
+    plus = np.arange(5)
+    variance = 0.0
+    for setting, hist in data.weight_counts():
+        estimator = sum(
+            float(t.coefficient) * (float(t.identity_weight) + float(t.scale)) ** plus
+            * (float(t.identity_weight) - float(t.scale)) ** (4 - plus)
+            for t in schedule.terms if t.setting == setting
+        )
+        total = hist.sum()
+        q = hist / total
+        variance += (q @ estimator**2 - (q @ estimator) ** 2) / total
+    assert result.standard_error == pytest.approx(np.sqrt(variance), rel=0.05)
+
+
 def test_seeded_counts_ignore_last_bit_probabilities():
     # a Born probability of 1e-30 where the exact one is 0 leaves every draw as it was
     rho = np.array(dicke(4, 2).density().mat)

@@ -112,11 +112,11 @@ def test_ndjson_sign_flips_group_identically(rows, pool):
             entry["setting"] = _flip_entry(entry["setting"])
             entry["outcomes"] = entry["outcomes"].translate(str.maketrans("+-", "-+"))
         lines.append(json.dumps(entry))
-    plain = CountsDataset.from_ndjson(data.to_ndjson()).grouped()
-    mixed = CountsDataset.from_ndjson("\n".join(lines)).grouped()
-    assert [g[0] for g in mixed] == [g[0] for g in plain]
-    assert [g[1] for g in mixed] == [g[1] for g in plain]
-    assert all(np.array_equal(a[2], b[2]) for a, b in zip(mixed, plain))
+    plain = CountsDataset.from_ndjson(data.to_ndjson()).records
+    mixed = CountsDataset.from_ndjson("\n".join(lines)).records
+    assert [(r.setting, r.outcomes, r.count) for r in mixed] == [
+        (r.setting, r.outcomes, r.count) for r in plain
+    ]
 
 
 @reproducible
@@ -146,12 +146,47 @@ def test_bootstrap_error_is_seed_deterministic(rows, seed, samples):
     pool = [Setting.from_ints(v) for v in ((1, 0, 0), (0, 1, 1), (1, 2, 3))]
     data = CountsDataset(2, tuple(CountRecord(pool[i], o, c) for i, o, c in rows))
     schedule = Schedule(2, [LocalTerm(0.2, None, 0.0, 1.0)] + [
-        LocalTerm(0.7, s, 1.0, 0.3) for s, _, _ in data.grouped()
+        LocalTerm(0.7, s, 1.0, 0.3) for s, _ in data.weight_counts()
     ])
     first = evaluate_counts(schedule, data, bootstrap_samples=samples, seed=seed)
     again = evaluate_counts(schedule, data, bootstrap_samples=samples, seed=seed)
     assert first.standard_error == again.standard_error
     assert first.to_json() == again.to_json()
+
+
+@reproducible
+@given(
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 63), st.integers(1, 50)),
+             min_size=1, max_size=20),
+    st.lists(st.tuples(st.integers(0, 2), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                       st.floats(-3.0, 3.0)), min_size=1, max_size=6),
+)
+def test_estimates_match_the_per_pattern_estimator(num_qubits, rows, terms):
+    # terms only on settings that have counts (a setting without counts raises)
+    pool = [Setting.from_ints(v) for v in ((1, 0, 0), (0, 1, 1), (1, 2, 3))]
+    records = [CountRecord(pool[i], format(bits % 2**num_qubits, f"0{num_qubits}b")
+                           .translate(str.maketrans("01", "+-")), count)
+               for i, bits, count in rows]
+    data = CountsDataset(num_qubits, tuple(records))
+    used = sorted({i for i, _, _ in rows})
+    terms = [(i, c, s, w) for i, c, s, w in terms if i in used] or [(used[0], 1.0, 1.0, 0.0)]
+    schedule = Schedule(num_qubits, [LocalTerm(c, pool[i], s, w) for i, c, s, w in terms])
+    result = evaluate_counts(schedule, data, bootstrap_samples=0)
+
+    def oracle(setting, scale, weight):
+        mine = [rec for rec in records if rec.setting == setting]
+        total = sum(rec.count for rec in mine)
+        return sum(rec.count * np.prod([weight + scale * (1 if o == "+" else -1)
+                                        for o in rec.outcomes]) for rec in mine) / total
+
+    want_terms = [oracle(pool[i], s, w) for i, _, s, w in terms]
+    want = sum(c * m for (_, c, _, _), m in zip(terms, want_terms))
+    for est, m in zip(result.per_term, want_terms):
+        assert est.mean == pytest.approx(m, rel=1e-12, abs=1e-12 * 6.0**num_qubits)
+    size = sum(abs(c) * 6.0**num_qubits for _, c, _, _ in terms)
+    assert result.witness_value == pytest.approx(want, rel=1e-12, abs=1e-12 * size)
+    assert sum(t.contribution for t in result.per_term) == result.witness_value
 
 
 @pytest.mark.parametrize("n, m, grid", [(3, 1, [0.0, 1.0, 2.0]), (4, 1, [0.0, 0.5, 1.47, 2.6])])

@@ -10,6 +10,7 @@ import pytest
 
 from symwit.linalg import DenseOperator, identity, op_power, pauli
 from symwit.symmetric import (
+    PI_ATOL,
     _hamming_weights,
     collective_j,
     collective_power,
@@ -149,6 +150,45 @@ def test_is_permutation_invariant():
     assert is_permutation_invariant(op_power(collective_j(3, "y"), 2))
     single = DenseOperator(np.kron(pauli("x").mat, np.eye(4)))
     assert not is_permutation_invariant(single)
+
+
+def _swap_moves(mat: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Conjugation by the swap of qubits k, k+1, in full, minus the operator."""
+    perm = list(range(1, n + 1))
+    perm[k - 1], perm[k] = perm[k], perm[k - 1]
+    return permute_qubits(DenseOperator(mat), perm).mat - mat
+
+
+def _full_copy_invariant(op: DenseOperator) -> bool:
+    n = op.num_qubits
+    return all(np.max(np.abs(_swap_moves(op.mat, n, k))) < PI_ATOL for k in range(1, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_is_permutation_invariant_matches_the_full_copy_check(n):
+    # a PI operator plus a non-PI perturbation whose largest move under an adjacent
+    # swap is just below or just above PI_ATOL: dense ones, and single entries
+    # (every entry for n <= 3, random ones above); none need be Hermitian
+    rng = np.random.default_rng(40 + n)
+    dim = 2**n
+    perturbations = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                     for _ in range(3)]
+    entries = itertools.product(range(dim), repeat=2) if n <= 3 else (
+        rng.integers(dim, size=2) for _ in range(8))
+    for i, j in entries:
+        e = np.zeros((dim, dim), dtype=complex)
+        e[i, j] = 1.0
+        perturbations.append(e)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    pi_op = symmetrize(DenseOperator(a))
+    assert is_permutation_invariant(pi_op) and _full_copy_invariant(pi_op)
+    for e in perturbations:
+        largest = max(np.max(np.abs(_swap_moves(e, n, k))) for k in range(1, n))
+        if largest == 0.0:  # an entry that every swap fixes, such as a diagonal corner
+            continue
+        for factor in (0.5, 2.0):
+            op = DenseOperator(pi_op.mat + factor * PI_ATOL / largest * e)
+            assert is_permutation_invariant(op) == _full_copy_invariant(op) == (factor < 1)
 
 
 def test_spin_blocks_are_schur_weyl_isometries():
