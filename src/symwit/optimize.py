@@ -12,8 +12,8 @@ state for a permutation-invariant objective splits into one block per pair
 of part spins ``(j_A, j_B)`` (see :func:`max_ppt`), so at N=6 the largest
 matrix is 16-square instead of 64-square.  ``max_bisep_seesaw`` and
 ``max_symmetric_product`` provide matching product-state lower bounds by
-alternating eigenvector updates (all random restarts batched) and direct
-Bloch-sphere search.
+alternating eigenvector updates (all random restarts batched) and a
+Bloch-sphere grid search on the spin-``N/2`` block.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from .linalg import (
     DenseOperator,
     StateVector,
-    _kron_all,
     schmidt_max_sq,
 )
 from .symmetric import (
@@ -814,40 +813,43 @@ def max_symmetric_product(
 ) -> float:
     """Maximum of ``<a^(x)N| M |a^(x)N>`` over identical single-qubit states.
 
-    Parameterizes the qubit by Bloch angles and runs Nelder-Mead from
-    seeded random starts; the best value found is returned.
+    For any ``M`` this is ``c^dagger M_top c``, ``M_top`` on the Dicke states and
+    ``c_k = sqrt(C(N, k)) cos^(N-k)(theta/2) (e^(i phi) sin(theta/2))^k``.  The
+    ``restarts`` best points of a ``(4N+9) x (8N+16)`` grid of Bloch angles are
+    refined by a 3x3 stencil, halving its step when no neighbour improves, down
+    to ``tol`` radians.
     """
-    from scipy.optimize import minimize  # deferred: scipy.optimize is slow to import
-
     cfg = config or SolverConfig()
     if restarts is None:
         restarts = cfg.seesaw_restarts
-    if tol is None:
-        tol = max(cfg.seesaw_tol, 1e-14)
+    tol = max(cfg.seesaw_tol if tol is None else tol, 1e-14)
     n = objective.num_qubits
-    mat = objective.mat
-    rng = np.random.default_rng(cfg.seed)
+    dicke_cols = spin_blocks(n)[0].isometry[:, 0, :]
+    m_top = dicke_cols.T @ objective.mat @ dicke_cols
+    k = np.arange(n + 1)
+    binom = np.sqrt([math.comb(n, i) for i in k])
 
-    def negated(angles: np.ndarray) -> float:
-        theta, phi = angles
-        qubit = np.array(
-            [math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)]
-        )
-        state = _kron_all([qubit] * n)
-        return -float(np.real(state.conj() @ (mat @ state)))
+    def values(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        c = (binom * np.cos(theta[..., None] / 2) ** (n - k)
+             * (np.exp(1j * phi[..., None]) * np.sin(theta[..., None] / 2)) ** k)
+        return np.einsum("...i,ij,...j->...", c.conj(), m_top, c).real
 
-    best = -math.inf
-    for _ in range(restarts):
-        theta0 = math.acos(rng.uniform(-1.0, 1.0))
-        phi0 = rng.uniform(0.0, 2.0 * math.pi)
-        res = minimize(
-            negated,
-            np.array([theta0, phi0]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": tol, "maxiter": 2000},
-        )
-        best = max(best, -float(res.fun))
-    return best
+    theta, phi = np.meshgrid(np.linspace(0, math.pi, 4 * n + 9),
+                             np.linspace(0, 2 * math.pi, 8 * n + 16, endpoint=False),
+                             indexing="ij")
+    best = np.argsort(-values(theta, phi).ravel())[:max(restarts, 1)]
+    theta, phi, rows = theta.ravel()[best], phi.ravel()[best], np.arange(len(best))
+    step = np.full(len(best), math.pi / (4 * n + 8))
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=2)))  # [4] is the centre
+    while np.any(step >= tol):
+        cand_t = theta[:, None] + step[:, None] * offsets[:, 0]
+        cand_p = phi[:, None] + step[:, None] * offsets[:, 1]
+        cand = values(cand_t, cand_p)
+        pick = np.argmax(cand, axis=1)
+        pick = np.where(cand[rows, pick] > cand[:, 4], pick, 4)
+        theta, phi = cand_t[rows, pick], cand_p[rows, pick]
+        step = np.where(pick == 4, step / 2, step)
+    return float(values(theta, phi).max())
 
 
 # ---------------------------------------------------------------------------

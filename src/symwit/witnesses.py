@@ -266,11 +266,10 @@ def wi3_witness(
 ) -> WitnessSpec:
     """Three-setting witness ``c - (Jx^2 + Jy^2) + q (Jz - <Jz>)^2``.
 
-    ``<Jz>`` is evaluated on the Dicke target ``|D_N^(m)>`` rather than
-    hardcoded, so one formula serves every ``(N, m)``.
+    ``<Jz>`` on the Dicke target ``|D_N^(m)>`` is exactly ``N/2 - m``.
     """
     target = dicke(num_qubits, excitations)
-    jz_mean = collective_j(num_qubits, "z").expectation(target.density())
+    jz_mean = num_qubits / 2 - excitations
     return WitnessSpec(
         name=name or f"WI3_D{num_qubits}{excitations}",
         num_qubits=num_qubits,
@@ -299,10 +298,9 @@ def _wi3_objective(num_qubits: int, excitations: int | None, q: float) -> DenseO
 
 
 def _wi3_penalty(num_qubits: int, excitations: int) -> DenseOperator:
-    """The penalty ``(Jz - <Jz>)^2`` of :func:`_wi3_objective`."""
-    jz = collective_j(num_qubits, "z")
-    jz_mean = jz.expectation(dicke(num_qubits, excitations))
-    return op_power(jz - jz_mean * identity(num_qubits), 2)
+    """The penalty ``(Jz - <Jz>)^2`` of :func:`_wi3_objective`, ``<Jz> = N/2 - m``."""
+    jz_mean = num_qubits / 2 - excitations
+    return op_power(collective_j(num_qubits, "z") - jz_mean * identity(num_qubits), 2)
 
 
 def _basis_blocks(basis, target: StateVector) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -331,39 +329,27 @@ def _slack(w_blocks, wp_blocks, alpha: float) -> float:
 def _largest_valid_alpha(w_blocks, wp_blocks, hi: float = 10.0) -> float | None:
     """Largest alpha in (0, hi] with min-eig(W - alpha*W_P) >= 0, from the blocks.
 
-    The minimum eigenvalue is concave in alpha, so a bounded scalar search
-    locates the peak and a bisection walks down the right branch.  Unlike a
-    given alpha, a derived one gets no ``LMI_ATOL`` slack.
+    The concave slack min-eig(W - alpha*W_P) changes sign only at eigenvalues of
+    some W_P,j^-1 W_j (the real parts of all are taken: a spurious one only splits
+    an interval).  The answer is the right end of the last interval between them
+    with slack >= 0 at its midpoint, backed off geometrically to slack >= 0 (no
+    ``LMI_ATOL``).  lambda_sq, the top eigenvalue of W_P, at 1 or above gives None.
     """
-    from scipy.optimize import minimize_scalar  # deferred: scipy.optimize is slow to import
-
-    slack = partial(_slack, w_blocks, wp_blocks)
-    res = minimize_scalar(
-        lambda a: -slack(a), bounds=(0.0, hi), method="bounded", options={"xatol": 1e-4}
-    )
-    peak = float(res.x)
-    if slack(peak) < 0:
+    if max(float(np.linalg.eigvalsh(wp)[-1]) for wp in wp_blocks) >= 1.0:
         return None
-    if slack(hi) >= 0:
-        return hi
-    lo, up = peak, hi
-    while up - lo > 1e-6:
-        mid = 0.5 * (lo + up)
-        if slack(mid) >= 0:
-            lo = mid
-        else:
-            up = mid
-    return lo
-
-
-def _with_derived_alpha(spec: WitnessSpec) -> WitnessSpec:
-    """Attach the largest certifiable alpha to ``spec`` (if one exists)."""
-    lam_sq = schmidt_max_sq(spec.target)
-    wp_blocks = spec._projector_witness_blocks(lam_sq)
-    alpha = _largest_valid_alpha([w for _, w in spec.blocks], wp_blocks)
-    if alpha is None:
-        return spec
-    return replace(spec, alpha=alpha, lambda_sq=lam_sq, alpha_source="derived")
+    slack = partial(_slack, w_blocks, wp_blocks)
+    roots = np.concatenate([np.linalg.eigvals(np.linalg.solve(wp, w)).real
+                            for w, wp in zip(w_blocks, wp_blocks)])
+    ends = np.append(np.unique(roots[(roots > 0) & (roots < hi)]), hi)
+    mids = (np.append(0.0, ends[:-1]) + ends) / 2
+    valid = [i for i, mid in enumerate(mids) if slack(mid) >= 0]
+    if not valid:
+        return None
+    end, mid = ends[valid[-1]], mids[valid[-1]]
+    alpha, step = end, end * np.finfo(float).eps
+    while slack(alpha) < 0:
+        alpha, step = max(end - step, mid), 2 * step
+    return float(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +431,11 @@ def _wp3_d105() -> WitnessSpec:
     c_1 = -1.0 - 4 * 252 * c_xy
     coeffs = (c_1, c_xy, c_xy, c_xy, c_xy,
               3.4681, -1.2624, 0.16494, -0.0084574, 0.000146551)
-    return _with_derived_alpha(WitnessSpec("WP3_D105", 10, basis, coeffs, dicke(10, 5)))
+    spec = WitnessSpec("WP3_D105", 10, basis, coeffs, dicke(10, 5))
+    lam_sq = schmidt_max_sq(spec.target)
+    wp_blocks = spec._projector_witness_blocks(lam_sq)
+    alpha = _largest_valid_alpha([w for _, w in spec.blocks], wp_blocks)
+    return replace(spec, alpha=alpha, lambda_sq=lam_sq, alpha_source="derived")
 
 
 def _wi3_d41(q: float) -> WitnessSpec:
@@ -469,8 +459,11 @@ _BUILDERS = {
     "WP3_D105": _wp3_d105,
     "WI2_D63": lambda: wi2_witness(6, 11.0179, name="WI2_D63"),
     "WI2_D5": lambda: wi2_witness(5, 7.8723, name="WI2_D5"),
-    "WI3_W5": lambda: _with_derived_alpha(wi3_witness(5, 1, 5.6242, 2.22, name="WI3_W5")),
-    "WI3_W6": lambda: _with_derived_alpha(wi3_witness(6, 1, 7.1095, 3.13, name="WI3_W6")),
+    # No alpha certificate exists for WI3_W5 or WI3_W6: over alpha in (0, 10]
+    # the best slack min-eig(W - alpha W_P) is -0.83 (near alpha = 0.22) and
+    # -0.87 (near alpha = 0.13).
+    "WI3_W5": lambda: wi3_witness(5, 1, 5.6242, 2.22, name="WI3_W5"),
+    "WI3_W6": lambda: wi3_witness(6, 1, 7.1095, 3.13, name="WI3_W6"),
 }
 
 CATALOG_NAMES = tuple(sorted(_BUILDERS) + ["WI3_D41"])

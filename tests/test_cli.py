@@ -27,6 +27,17 @@ def test_import_does_not_load_scipy_optimize():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+def test_package_does_not_load_scipy():
+    # the derived alpha and the symmetric-product maximum are closed forms on spin blocks
+    src = os.path.dirname(os.path.dirname(symwit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, symwit\n"
+            "assert symwit.catalog('WP3_D105').alpha_source == 'derived'\n"
+            "symwit.optimize.max_symmetric_product(symwit.collective_j(3, 'x'), restarts=2)\n"
+            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 def test_settings_bound_text_and_json(capsys):
     code, out, _ = run(capsys, "settings-bound", "--n", "6")
     assert code == 0

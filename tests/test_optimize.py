@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -219,6 +220,22 @@ def test_max_symmetric_product_oracle():
         want = (n / 2) * (n / 2 + 1) - n / 4
         got = max_symmetric_product(m, restarts=10)
         assert abs(got - want) < 1e-8
+
+
+def test_max_symmetric_product_random_objectives():
+    # <a^(x)N|M|a^(x)N> for any M lies between sampled product values and lambda_max(M_top)
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 4, 5, 6):
+        a = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        m = DenseOperator((a + a.conj().T) / 2)
+        theta, phi = np.arccos(rng.uniform(-1, 1, 2000)), rng.uniform(0, 2 * np.pi, 2000)
+        qubits = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
+        sampled = max(float(np.real(s.conj() @ m.mat @ s))
+                      for s in (reduce(np.kron, [q] * n) for q in qubits))
+        top = np.stack([dicke(n, k).vec for k in range(n + 1)], axis=1)
+        ceiling = np.linalg.eigvalsh(top.conj().T @ m.mat @ top)[-1]
+        got = max_symmetric_product(m, restarts=10)
+        assert sampled - 1e-12 <= got <= ceiling + 1e-12
 
 
 def test_optimize_witness_projector_basis_recovers_projector():

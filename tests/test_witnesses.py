@@ -248,6 +248,34 @@ def test_derived_alpha_is_certified_with_no_slack():
     assert spec.certificate_slack >= 0
 
 
+def _random_dicke_witnesses(count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 8))
+        basis = (BasisTerm("identity"), BasisTerm("projector"), BasisTerm("collective", "x", 2),
+                 BasisTerm("collective", "z", 2, shift=float(rng.normal())))
+        yield WitnessSpec("random", n, basis, tuple(rng.normal(size=4)),
+                          dicke(n, int(rng.integers(1, n))))
+
+
+def test_derived_alpha_is_tight():
+    from symwit.witnesses import _largest_valid_alpha, _slack
+
+    spec = catalog("WP3_D105")
+    cases = [([w for _, w in spec.blocks], spec._projector_witness_blocks(spec.lambda_sq),
+              spec.alpha)]
+    for spec in _random_dicke_witnesses(60, seed=3):
+        w_blocks = [w for _, w in spec.blocks]
+        wp_blocks = spec._projector_witness_blocks(schmidt_max_sq(spec.target))
+        alpha = _largest_valid_alpha(w_blocks, wp_blocks)
+        if alpha is not None and alpha < 10.0:
+            cases.append((w_blocks, wp_blocks, alpha))
+    assert len(cases) > 5
+    for w_blocks, wp_blocks, alpha in cases:
+        assert _slack(w_blocks, wp_blocks, alpha) >= 0
+        assert _slack(w_blocks, wp_blocks, alpha * (1 + 1e-9)) < 0
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_catalog_blocks_are_the_compressed_dense_witness(name):
     w = catalog(name)
