@@ -179,10 +179,15 @@ def _barrier_maximize(
     ``-m . x / mu - sum weight * log det``; on the central path the duality
     gap is ``mu * sum(weight * dim)``.  Every LMI is homogeneous in ``x``,
     so the final rescaling to ``a . x = 1`` keeps the point feasible.
-    ``stop(x)``, when given, is asked after each barrier level and ends the
-    path early when true.  Returns ``x`` and the report.
+    ``stop(x, mu)``, when given, is asked after each level above
+    ``cfg.barrier_tol``, with the level's end point and its ``mu``, and ends
+    the path when true; it must not modify ``x``.  The report's
+    ``converged`` is false when a level ends off the central path or
+    ``stop`` ends the path before ``cfg.barrier_tol``.  Returns ``x`` and
+    the report.
     """
     nb = len(x)
+    conj = [lmi.flat.conj() for lmi in lmis]
 
     def barrier(vec: np.ndarray) -> float | None:
         total = 0.0
@@ -196,21 +201,21 @@ def _barrier_maximize(
     total_newton = 0
     converged = True
     mu = 1.0
+    b_x = barrier(x)  # x, and so b_x, carries over from one level to the next
     while True:
         t = 1.0 / mu
-        b_x = barrier(x)
         dec = math.inf
         for _ in range(60):
             # Hessian bordered by the equality constraint
             kkt = np.zeros((nb + 1, nb + 1))
             kkt[:nb, nb] = kkt[nb, :nb] = a_vec
             grad = -t * m_vec
-            for lmi in lmis:
+            for lmi, flat_conj in zip(lmis, conj):
                 flat, cols, d = lmi.flat, lmi.cols, lmi.dim
                 prec = np.linalg.inv(lmi.matrix(x))
-                grad[cols] -= lmi.weight * np.real(flat.conj() @ prec.ravel())
+                grad[cols] -= lmi.weight * np.real(flat_conj @ prec.ravel())
                 curv = (prec @ flat.reshape(-1, d, d) @ prec).reshape(len(flat), -1)
-                kkt[cols, cols] += lmi.weight * np.real(curv @ flat.conj().T)
+                kkt[cols, cols] += lmi.weight * np.real(curv @ flat_conj.T)
             # Near the central path grad is almost parallel to a_vec, with a
             # multiplier of order t, and the Hessian spans ~1/mu^2 in scale.
             # Removing that part of grad (it does not change dx), scaling
@@ -258,7 +263,10 @@ def _barrier_maximize(
                 break
         if dec > 1e-5:
             converged = False
-        if mu <= cfg.barrier_tol * (1.0 + 1e-12) or (stop is not None and stop(x)):
+        if mu <= cfg.barrier_tol * (1.0 + 1e-12):
+            break
+        if stop is not None and stop(x, mu):
+            converged = False
             break
         mu = max(mu / 10.0, cfg.barrier_tol)
 
@@ -432,7 +440,7 @@ def optimize_witness(
     ]
     start, first = _barrier_maximize(
         np.eye(nb + 2)[0], np.append(0.0, a_u), phase_one, np.append(s0, u0), cfg,
-        stop=lambda x: x[0] > 0,
+        stop=lambda x, mu: x[0] > 0,
     )
     if start[0] <= 0:
         raise infeasible
@@ -580,7 +588,28 @@ def _herm_coords(stack: np.ndarray) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
-def _ppt_blocks(blocks: list[_Block], cfg: SolverConfig) -> tuple[list[np.ndarray], SolverReport]:
+def _dual_bound(blocks: list[_Block], p_mats, q_mats) -> float:
+    """An upper bound on the PPT problem of ``blocks`` from any Hermitian ``P_b``, ``Q_b``.
+
+    ``c = max_b [lambda_max(M_b + P_b + Q_b^T_A) - lambda_min(P_b) - lambda_min(Q_b)]``.
+    For feasible ``X_b``, ``Tr(P_b X_b) >= lambda_min(P_b) Tr X_b`` and
+    ``Tr(Q_b X_b^T_A) >= lambda_min(Q_b) Tr X_b``, so with
+    ``sum_b mult_b Tr X_b = 1`` every ``sum_b mult_b Tr(M_b X_b) <= c``.
+    No sign of ``P_b`` or ``Q_b`` is assumed: a poor choice loosens ``c``
+    but never invalidates it.
+    """
+    bound = -math.inf
+    for blk, p_b, q_b in zip(blocks, p_mats, q_mats):
+        q_pt = _batched_pt_front(q_b[None], blk.dim_a)[0]
+        top = np.linalg.eigvalsh(blk.objective + p_b + q_pt)[-1]
+        low = np.linalg.eigvalsh(p_b)[0] + np.linalg.eigvalsh(q_b)[0]
+        bound = max(bound, float(top - low))
+    return bound
+
+
+def _ppt_blocks(
+    blocks: list[_Block], cfg: SolverConfig, floor: float = -math.inf
+) -> tuple[list[np.ndarray], SolverReport]:
     """Maximize ``sum_b mult_b Tr(M_b X_b)`` over ``sum_b mult_b Tr(X_b) = 1``, X_b, X_b^T_A > 0.
 
     With the LMIs ``X_b`` and ``X_b^T_A`` weighted ``mult_b``, the barrier is
@@ -589,6 +618,12 @@ def _ppt_blocks(blocks: list[_Block], cfg: SolverConfig) -> tuple[list[np.ndarra
     each block), so the central path is the dense problem's.  ``X_b`` has
     coordinates in an orthonormal Hermitian basis, real symmetric when no
     ``M_b`` has an imaginary part; the path starts at ``X_b = 1 / dim``.
+
+    With a finite ``floor``, the end point of each level gives the dual
+    point ``P_b = mu X_b^-1``, ``Q_b = mu (X_b^T_A)^-1`` of
+    :func:`_dual_bound`; once that bound is below
+    ``floor - 1e-9 (1 + |floor|)`` the path stops, unconverged, at a
+    feasible point whose value is below ``floor``.
     """
     real = not any(np.any(np.imag(b.objective)) for b in blocks)
     objectives = [np.real(b.objective) if real else b.objective for b in blocks]
@@ -605,7 +640,15 @@ def _ppt_blocks(blocks: list[_Block], cfg: SolverConfig) -> tuple[list[np.ndarra
     lmis = [_Lmi(mult, slice(lo, hi), flat, d)  # X_b, then X_b^T_A, block by block
             for mult, lo, hi, d, pair in zip(mults, bounds[:-1], bounds[1:], dims, bases)
             for flat in pair]
-    x, report = _barrier_maximize(m_vec, a_vec, lmis, np.concatenate(units) / dim, cfg)
+    stop = None
+    if floor > -math.inf:
+        cutoff = floor - 1e-9 * (1.0 + abs(floor))
+
+        def stop(x: np.ndarray, mu: float) -> bool:
+            duals = [_herm(mu * np.linalg.inv(lmi.matrix(x))) for lmi in lmis]
+            return _dual_bound(blocks, duals[::2], duals[1::2]) < cutoff
+
+    x, report = _barrier_maximize(m_vec, a_vec, lmis, np.concatenate(units) / dim, cfg, stop)
     return [lmi.matrix(x) for lmi in lmis[::2]], report
 
 
@@ -634,7 +677,30 @@ def _front_permutation(part: tuple[int, ...], num_qubits: int):
     return tuple(order.index(q) + 1 for q in range(1, num_qubits + 1)), tuple(order)
 
 
-def max_ppt(problem: PptProblem, config: SolverConfig | None = None) -> PptResult:
+def _objective_blocks(problem: PptProblem):
+    """The embeddings ``(dim_a, dim_b, V)`` of :func:`max_ppt` and the objective's blocks on them."""
+    m = problem.objective
+    n = m.num_qubits
+    k = len(problem.bipartition)
+    if is_permutation_invariant(m):
+        embeddings = _spin_embeddings(n, k)
+        m_mat = m.mat
+    else:
+        if n > 5:
+            raise OptimizationError(
+                "dense PPT maximization without permutation symmetry is "
+                "limited to 5 qubits"
+            )
+        embeddings = ((2**k, 2 ** (n - k), np.eye(2**n)[:, None, :]),)
+        m_mat = permute_qubits(m, _front_permutation(problem.bipartition, n)[0]).mat
+    blocks = [_Block(dim_a, dim_b, iso.shape[1], _herm(compress(m_mat, iso)))
+              for dim_a, dim_b, iso in embeddings]
+    return embeddings, blocks
+
+
+def max_ppt(
+    problem: PptProblem, config: SolverConfig | None = None, *, floor: float = -math.inf
+) -> PptResult:
     """Maximum of ``Tr(M rho)`` over PPT states for one bipartition.
 
     The part is first moved to the leading qubits.  A permutation-invariant
@@ -647,29 +713,17 @@ def max_ppt(problem: PptProblem, config: SolverConfig | None = None) -> PptResul
     Any part of a given size then gives the same value.  Other objectives are
     solved as one dense block, which is practical up to 5 qubits.  The
     returned ``rho`` is the dense state on the original qubit order.
+
+    A finite ``floor`` lets the solve stop early once a dual bound shows the
+    maximum is below ``floor`` (see :func:`_ppt_blocks`): the result is then
+    a feasible state with value below ``floor`` and ``converged=False``.
+    A solve that is not stopped is the same, bit for bit, as without a floor.
     """
     cfg = config or SolverConfig()
-    m = problem.objective
-    n = m.num_qubits
-    part = problem.bipartition
-    k = len(part)
-    perm, inverse = _front_permutation(part, n)
-
-    if is_permutation_invariant(m):
-        embeddings = _spin_embeddings(n, k)
-        m_mat = m.mat
-    else:
-        if n > 5:
-            raise OptimizationError(
-                "dense PPT maximization without permutation symmetry is "
-                "limited to 5 qubits"
-            )
-        embeddings = ((2**k, 2 ** (n - k), np.eye(2**n)[:, None, :]),)
-        m_mat = permute_qubits(m, perm).mat
-    blocks = [_Block(dim_a, dim_b, iso.shape[1], _herm(compress(m_mat, iso)))
-              for dim_a, dim_b, iso in embeddings]
-    x_blocks, report = _ppt_blocks(blocks, cfg)
+    embeddings, blocks = _objective_blocks(problem)
+    x_blocks, report = _ppt_blocks(blocks, cfg, floor=floor)
     rho_mat = lift((iso, xb) for (_, _, iso), xb in zip(embeddings, x_blocks))
+    inverse = _front_permutation(problem.bipartition, problem.objective.num_qubits)[1]
     rho = permute_qubits(DenseOperator(_herm(rho_mat)), inverse)
     return PptResult(value=report.optimum, rho=rho, report=report)
 
@@ -696,12 +750,17 @@ def max_ppt_all(
     States that mix over bipartitions cannot exceed the best single
     bipartition for a linear objective, so the scan over bipartitions is
     exact.  Ties are resolved to the first bipartition in scan order
-    (ascending part size, lexicographic within a size).
+    (ascending part size, lexicographic within a size): a later one must
+    be strictly greater.  So each later bipartition gets the running best
+    value as its ``floor`` and stops as soon as its dual bound falls below
+    it; a bipartition stopped this way could not have won, and the one
+    returned is solved exactly as it would be alone.
     """
     cfg = config or SolverConfig()
     best: PptScanResult | None = None
     for part in _bipartitions(objective.num_qubits, is_permutation_invariant(objective)):
-        result = max_ppt(PptProblem(objective, part), cfg)
+        floor = -math.inf if best is None else best.value
+        result = max_ppt(PptProblem(objective, part), cfg, floor=floor)
         if best is None or result.value > best.value:
             best = PptScanResult(result.value, part, result.rho, result.report)
     assert best is not None

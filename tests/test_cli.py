@@ -20,7 +20,7 @@ def run(capsys, *argv):
 
 
 def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize takes most of the import time; only two solvers load it, on first call
+    # scipy.optimize would take most of the import time; no solver loads it any more
     src = os.path.dirname(os.path.dirname(symwit.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import symwit, symwit.cli, sys; assert 'scipy.optimize' not in sys.modules"

@@ -145,6 +145,54 @@ def test_max_ppt_all_reports_bipartition():
     assert result.value >= max_bisep_all(m, restarts=10).value - 1e-6
 
 
+def penalty_objective(n: int, m: int, q: float) -> DenseOperator:
+    """Jx^2 + Jy^2 - q (Jz - <Jz>_D(n,m))^2, the ppt_threshold objectives."""
+    obj = op_power(collective_j(n, "x"), 2) + op_power(collective_j(n, "y"), 2)
+    shifted = collective_j(n, "z") - (n / 2 - m) * identity(n)
+    return obj - q * op_power(shifted, 2) if q else obj
+
+
+def bell_pairs_projector() -> DenseOperator:
+    """The projector on |Phi+>_12 |Phi+>_34."""
+    return DenseOperator(np.kron(bell_projector().mat, bell_projector().mat))
+
+
+def random_real_objective(num_qubits: int, seed: int) -> DenseOperator:
+    raw = np.random.default_rng(seed).standard_normal((2**num_qubits, 2**num_qubits))
+    return DenseOperator(((raw + raw.T) / 2).astype(complex))
+
+
+@pytest.mark.parametrize("objective", [
+    penalty_objective(4, 1, 0.0), penalty_objective(4, 1, 1.47), penalty_objective(4, 1, 2.4),
+    penalty_objective(5, 2, 0.0), bell_pairs_projector(), random_real_objective(4, 11),
+], ids=["q0", "q1.47", "q2.4", "n5", "bell-pairs", "random-real"])
+def test_pruned_scan_matches_exhaustive_scan(objective):
+    from symwit.optimize import _bipartitions
+    from symwit.symmetric import is_permutation_invariant
+
+    best = None
+    for part in _bipartitions(objective.num_qubits, is_permutation_invariant(objective)):
+        result = max_ppt(PptProblem(objective, part))
+        if best is None or result.value > best[0]:
+            best = (result.value, part, result.rho.mat.tobytes(), result.report)
+    got = max_ppt_all(objective)
+    assert (got.value, got.bipartition, got.rho.mat.tobytes(), got.report) == best
+
+
+def test_floor_stops_a_losing_bipartition():
+    m = penalty_objective(4, 1, 0.0)
+    floor = max_ppt(PptProblem(m, (1,))).value
+    full = max_ppt(PptProblem(m, (1, 2)))
+    pruned = max_ppt(PptProblem(m, (1, 2)), floor=floor)
+    assert full.report.converged and full.value < floor
+    assert not pruned.report.converged
+    assert pruned.value < floor
+    assert pruned.report.iterations < full.report.iterations
+    rho = pruned.rho  # the point reached is still a PPT state
+    assert abs(rho.trace() - 1.0) < 1e-9
+    assert np.linalg.eigvalsh(partial_transpose(rho, (1, 2)).mat)[0] > -1e-9
+
+
 def test_seesaw_bell_oracle_and_restart_prefix_monotone():
     m = bell_projector()
     v50 = max_bisep_seesaw(m, (1,), restarts=50)

@@ -1,5 +1,6 @@
 """Property tests: canonical setting keys, sign-flip round trips, Born
-probabilities, bootstrap determinism and the witness certificate."""
+probabilities, bootstrap determinism, the witness certificate and the PPT
+dual bound."""
 
 from __future__ import annotations
 
@@ -12,14 +13,22 @@ from hypothesis import strategies as st
 
 from symwit.compiler import LocalTerm, Schedule, Setting
 from symwit.counts import CountRecord, CountsDataset, _born_probabilities, evaluate_counts
-from symwit.linalg import StateVector
+from symwit.linalg import DenseOperator, StateVector, identity, op_power
 from symwit.optimize import (
+    PptProblem,
+    SolverConfig,
     WitnessOptimizationProblem,
+    _batched_pt_front,
+    _bipartitions,
+    _dual_bound,
+    _objective_blocks,
+    _ppt_blocks,
     collective_power_basis,
+    max_bisep_seesaw,
     optimize_witness,
     q_scan,
 )
-from symwit.symmetric import dicke
+from symwit.symmetric import collective_j, dicke
 from symwit.witnesses import NoiseModel, noise_tolerance, wi3_witness
 
 reproducible = settings(derandomize=True, deadline=None, max_examples=100)
@@ -213,3 +222,43 @@ def test_fit_reports_the_certificate_slack_of_its_spec(n, m, axes):
     projector_part = spec.lambda_sq * np.eye(2**n) - np.outer(target.vec, target.vec.conj())
     direct = np.linalg.eigvalsh(spec.dense.mat - spec.alpha * projector_part)[0]
     assert abs(report.min_eig_slack - direct) < 1e-12
+
+
+def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (raw + raw.conj().T) / 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.booleans(), st.integers(0, 1), st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "central"]), st.floats(-3.0, 3.0), st.floats(1e-3, 10.0))
+def test_ppt_dual_bound_is_an_upper_bound(pi, extra, seed, kind, shift, scale):
+    # PI objectives at N = 3-4 in spin blocks, others at N = 2-3 in one block;
+    # P and Q random (shifted, so indefinite ones are drawn) or the solve's
+    # own central-path duals mu X^-1, mu (X^T_A)^-1 plus a random part
+    rng = np.random.default_rng(seed)
+    n = (3 if pi else 2) + extra
+    if pi:
+        terms = [identity(n)] + [op_power(collective_j(n, a), k) for a in "xyz" for k in (1, 2)]
+        objective = sum((float(rng.standard_normal()) * t for t in terms[1:]), terms[0] * 0.0)
+    else:
+        objective = DenseOperator(_random_hermitian(rng, 2**n))
+    parts = _bipartitions(n, pi)
+    part = parts[int(rng.integers(len(parts)))]
+    _, blocks = _objective_blocks(PptProblem(objective.hermitized(), part))
+    cfg = SolverConfig()
+    x_blocks, _ = _ppt_blocks(blocks, cfg)
+    value = sum(b.mult * float(np.real(np.trace(b.objective @ x))) for b, x in zip(blocks, x_blocks))
+    p_mats, q_mats = [], []
+    for b, x in zip(blocks, x_blocks):
+        d = b.dim_a * b.dim_b
+        p_b, q_b = (scale * _random_hermitian(rng, d) + shift * np.eye(d) for _ in range(2))
+        if kind == "central":
+            x_pt = _batched_pt_front(x[None], b.dim_a)[0]
+            p_b = cfg.barrier_tol * (np.linalg.inv(x) + p_b)
+            q_b = cfg.barrier_tol * (np.linalg.inv(x_pt) + q_b)
+        p_mats.append((p_b + p_b.conj().T) / 2)
+        q_mats.append((q_b + q_b.conj().T) / 2)
+    bound = _dual_bound(blocks, p_mats, q_mats)
+    assert bound >= value - 1e-9
+    assert bound >= max_bisep_seesaw(objective, part, restarts=5) - 1e-9
