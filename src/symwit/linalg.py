@@ -291,13 +291,17 @@ def schmidt_max_sq(psi: StateVector) -> float:
     """Largest squared Schmidt coefficient over all bipartitions.
 
     Every bipartition of the register into two nonempty parts is scanned
-    (each unordered split once); the result lies in [1/2, 1] for entangled
-    through product states respectively.
+    (each unordered split once, or one per part size when no qubit swap
+    changes the state); the result lies in [1/2, 1] for entangled through
+    product states respectively.
     """
     n = psi.num_qubits
     if n < 2:
         raise ValueError("a bipartition needs at least 2 qubits")
     tensor = psi.vec.reshape((2,) * n)
+    if all(np.array_equal(tensor, tensor.swapaxes(k, k + 1)) for k in range(n - 1)):
+        return max(float(np.linalg.svd(psi.vec.reshape(2**k, -1), compute_uv=False)[0]) ** 2
+                   for k in range(1, n // 2 + 1))
     best = 0.0
     # enumerate each unordered bipartition once: the part containing qubit 1
     for mask in range(2 ** (n - 1)):

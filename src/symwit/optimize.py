@@ -2,10 +2,12 @@
 
 One log-barrier interior-point engine, :func:`_barrier_maximize`, solves
 both convex programs, in real Schur–Weyl (total-spin) blocks whenever their
-data is permutation invariant; other data is one dense block.
-``optimize_witness`` fits witness coefficients over a fixed operator basis:
-``W - alpha * W_P >= 0`` holds exactly when each spin-``j`` block of it
-does, and at N=8 the largest block is 9-square instead of 256-square.
+data is permutation invariant; other data is one dense block.  Its matrix
+inequalities weight the barrier per row, so blocks of different weights
+form one block-diagonal inequality.  ``optimize_witness`` fits witness
+coefficients over a fixed operator basis: ``W - alpha * W_P >= 0`` holds
+exactly when each spin-``j`` block of it does (at N=8 the largest is
+9-square instead of 256-square), and the fit is one such inequality.
 ``max_ppt`` maximizes a Hermitian objective over density matrices whose
 partial transpose across a given bipartition stays positive; the optimal
 state for a permutation-invariant objective splits into one block per pair
@@ -80,8 +82,8 @@ class SolverConfig:
 
     ``barrier_tol`` is the final barrier parameter mu of the interior-point
     engine that fits witnesses and maximizes over PPT states (the duality
-    gap is ``mu`` times the summed sizes of the barrier's matrix
-    inequalities); the seesaw fields control the random-restart
+    gap is ``mu`` times the summed barrier weights of the rows of its
+    matrix inequalities); the seesaw fields control the random-restart
     product-state search.  All randomness flows from ``seed`` through
     explicit generators, so runs are reproducible.
     """
@@ -114,8 +116,8 @@ class SolverReport:
 
     ``optimum`` is the objective value at the returned point;
     ``primal_residual`` the violation of the equality constraints;
-    ``dual_residual`` the barrier's duality gap ``mu * sum(weight * dim)``
-    over its matrix inequalities (``2 * dim * mu`` for a PPT problem);
+    ``dual_residual`` the barrier's duality gap, ``mu`` times the summed row
+    weights of its matrix inequalities (``2 * dim * mu`` for a PPT problem);
     ``min_eig_slack`` the smallest eigenvalue over the semidefinite blocks at
     the returned point (for a witness fit, the spec's certificate slack).
     """
@@ -145,23 +147,16 @@ def _herm(mat: np.ndarray) -> np.ndarray:
 
 
 class _Lmi(NamedTuple):
-    """``sum_i x[cols][i] F_i > 0``, the flattened ``dim``-square ``F_i`` as rows of ``flat``."""
+    """``sum_i x[cols][i] F_i > 0``, the flattened ``dim``-square ``F_i`` as rows of ``flat``;
+    ``weight[k]`` is row ``k``'s barrier weight, constant on each diagonal block of the ``F_i``."""
 
-    weight: float
+    weight: np.ndarray
     cols: slice
     flat: np.ndarray
     dim: int
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         return (x[self.cols] @ self.flat).reshape(self.dim, self.dim)
-
-
-def _logdet_pd(mat: np.ndarray) -> float | None:
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return None
-    return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
 
 
 def _barrier_maximize(
@@ -176,8 +171,10 @@ def _barrier_maximize(
 
     Starts from the strictly feasible ``x`` and follows mu = 1, 0.1, ...
     down to ``cfg.barrier_tol`` with damped Newton steps on
-    ``-m . x / mu - sum weight * log det``; on the central path the duality
-    gap is ``mu * sum(weight * dim)``.  Every LMI is homogeneous in ``x``,
+    ``-m . x / mu - sum_k w_k log L_kk^2`` (``L`` the Cholesky factor of an
+    LMI, ``w`` its row weights): its Hessian is ``Tr(F_a D_w P F_b P)``, ``P``
+    the LMI's inverse, and on the central path the duality gap is
+    ``mu * sum(w)``.  Every LMI is homogeneous in ``x``,
     so the final rescaling to ``a . x = 1`` keeps the point feasible.
     ``stop(x, mu)``, when given, is asked after each level above
     ``cfg.barrier_tol``, with the level's end point and its ``mu``, and ends
@@ -192,10 +189,11 @@ def _barrier_maximize(
     def barrier(vec: np.ndarray) -> float | None:
         total = 0.0
         for lmi in lmis:
-            ld = _logdet_pd(lmi.matrix(vec))
-            if ld is None:
+            try:
+                chol = np.linalg.cholesky(lmi.matrix(vec))
+            except np.linalg.LinAlgError:
                 return None
-            total -= lmi.weight * ld
+            total -= 2.0 * float(np.sum(lmi.weight * np.log(np.real(np.diag(chol)))))
         return total
 
     total_newton = 0
@@ -213,9 +211,10 @@ def _barrier_maximize(
             for lmi, flat_conj in zip(lmis, conj):
                 flat, cols, d = lmi.flat, lmi.cols, lmi.dim
                 prec = np.linalg.inv(lmi.matrix(x))
-                grad[cols] -= lmi.weight * np.real(flat_conj @ prec.ravel())
-                curv = (prec @ flat.reshape(-1, d, d) @ prec).reshape(len(flat), -1)
-                kkt[cols, cols] += lmi.weight * np.real(curv @ flat_conj.T)
+                weighted = lmi.weight[:, None] * prec  # = P D_w: w is constant on P's blocks
+                grad[cols] -= np.real(flat_conj @ weighted.ravel())
+                curv = (weighted @ flat.reshape(-1, d, d) @ prec).reshape(len(flat), -1)
+                kkt[cols, cols] += np.real(curv @ flat_conj.T)
             # Near the central path grad is almost parallel to a_vec, with a
             # multiplier of order t, and the Hessian spans ~1/mu^2 in scale.
             # Removing that part of grad (it does not change dx), scaling
@@ -245,22 +244,25 @@ def _barrier_maximize(
                 x_new = x + step * dx
                 b_new = barrier(x_new)
                 if b_new is not None and b_new - b_x - step * gain <= -0.01 * step * dec:
-                    x, b_x = x_new, b_new
                     accepted = True
                     break
                 step *= 0.5
             total_newton += 1
-            if not accepted:
-                # Below mu ~ 1e-8 the Hessian spans more scales than double
-                # precision resolves and dx can point uphill; that ends the
-                # level at the rounding floor, like a centered one.  A
-                # downhill dx that no step length improves enough is a
-                # centering failure.
-                probe = 1e-4
-                b_probe = barrier(x + probe * dx)
-                if b_probe is not None and b_probe - b_x - probe * gain >= 0.0:
-                    dec = 0.0
-                break
+            if accepted and np.any(x_new != x):
+                x, b_x = x_new, b_new
+                continue
+            # Below mu ~ 1e-8 the Hessian spans more scales than double
+            # precision resolves: dx can point uphill, by the model's own
+            # slope grad.dx or at a short probe, or the accepted step can be
+            # too short to change x.  That ends the level at the rounding
+            # floor, like a centered one.  A downhill dx that no step length
+            # improves enough is a centering failure.
+            probe = 1e-4
+            b_probe = barrier(x + probe * dx)
+            uphill = b_probe is not None and b_probe - b_x - probe * gain >= 0.0
+            if accepted or uphill or grad @ dx >= 0.0:
+                dec = 0.0
+            break
         if dec > 1e-5:
             converged = False
         if mu <= cfg.barrier_tol * (1.0 + 1e-12):
@@ -274,7 +276,7 @@ def _barrier_maximize(
     report = SolverReport(
         optimum=float(m_vec @ x),
         primal_residual=float(abs(a_vec @ x - 1.0)),
-        dual_residual=float(sum(lmi.weight * lmi.dim for lmi in lmis) * mu),
+        dual_residual=float(sum(lmi.weight.sum() for lmi in lmis) * mu),
         min_eig_slack=min(float(np.linalg.eigvalsh(lmi.matrix(x))[0]) for lmi in lmis),
         iterations=total_newton,
         converged=converged,
@@ -359,11 +361,12 @@ _MAX_TRACE_PER_DIM = 1e3
 
 
 def _prefix_coordinates(flats: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
-    """An orthogonal ``q`` such that LMI ``i`` reads only ``u[:ends[i]]`` of ``u = q^T z``.
+    """An orthogonal ``q`` such that block ``i`` reads only ``u[:ends[i]]`` of ``u = q^T z``.
 
-    Column group ``i`` spans the directions that move ``flats[i]`` and none
-    of ``flats[:i]``.  So a direction that an early, nearly singular LMI does
-    not see gets no Hessian entries from it, whose ``1 / mu^2`` curvature
+    Column group ``i`` spans the directions that move ``flats[i]`` (one
+    diagonal block of an LMI) and none of ``flats[:i]``.  So a direction
+    that an early, nearly singular block does not see is exactly zero in
+    it and gets no Hessian entries from it, whose ``1 / mu^2`` curvature
     would bury the direction's own in rounding noise.
     """
     rest = np.eye(len(flats[0]))
@@ -390,11 +393,12 @@ def optimize_witness(
     ``<target|W|target> = -1``, ``W - alpha * W_P >= 0``, ``alpha >= 0`` and
     the trace bound, all read from the blocks of ``problem.blocks``.  For a
     symmetric target the slack is ``(+)_j S_j (x) 1_mult_j`` in the
-    Schur–Weyl basis: one LMI ``S_j = W_j - alpha W_P,j`` per spin ``j``,
-    weighted ``mult_j``, has the dense barrier; any other target gives one
-    dense LMI.  A phase I maximizes a margin ``s`` subtracted
-    from every LMI until ``s > 0``.  Raises :class:`OptimizationError` if no
-    witness of the requested form exists.
+    Schur–Weyl basis, ``S_j = W_j - alpha W_P,j``; any other target has one
+    dense block.  The fit is one LMI ``(+)_j S_j (+) (alpha) (+) (trace row)``,
+    row weights ``mult_j`` on ``S_j`` (the dense barrier) and 1 on the last
+    two, in prefix coordinates of the unit-norm columns of ``z``.  A phase I
+    maximizes a margin ``s`` subtracted from it until ``s > 0``.  Raises
+    :class:`OptimizationError` if no witness of the requested form exists.
     """
     cfg = config or SolverConfig()
     nb = len(problem.basis)
@@ -411,18 +415,22 @@ def optimize_witness(
     a_vec = np.append(-t_vec, 0.0)
     eyes = [np.eye(len(stack[0])) for _, stack in problem.blocks]
     traces = np.append(basis_traces(eyes), 1.0 - lambda_sq * dim)
-    weights = mults + [1.0, 1.0]
     flats = [np.concatenate([stack[:nb], stack[nb:] - lambda_sq * eye]).reshape(nb + 1, -1)
              for (_, stack), eye in zip(problem.blocks, eyes)]  # the blocks of W and of -W_P
     flats.append(np.eye(nb + 1)[:, nb:])  # alpha >= 0
     flats.append((_MAX_TRACE_PER_DIM * dim * a_vec - traces)[:, None])
-    # the engine works in u = q^T z, where each LMI reads a prefix of u
-    q, ends = _prefix_coordinates(flats)
-    lmis = []
-    for weight, flat, end in zip(weights, flats, ends):
-        flat = q[:, :end].T @ flat
-        flat = flat if np.any(np.imag(flat)) else np.real(flat)
-        lmis.append(_Lmi(weight, slice(0, end), flat, math.isqrt(flat.shape[1])))
+    # the engine works in u with z = q u, where diagonal block i reads a prefix u[:ends[i]];
+    # q is orthogonal for unit-norm columns, so rounding in u stays relative to each column
+    norms = np.sqrt(sum(m * np.sum(np.abs(flat) ** 2, axis=1) for m, flat in zip(mults, flats)))
+    q, ends = _prefix_coordinates([flat / norms[:, None] for flat in flats])
+    q = q / norms[:, None]
+    offsets = np.cumsum([0] + [math.isqrt(flat.shape[1]) for flat in flats])
+    slack = np.zeros((ends[-1], offsets[-1], offsets[-1]), dtype=complex)
+    for flat, end, lo, hi in zip(flats, ends, offsets[:-1], offsets[1:]):
+        slack[:end, lo:hi, lo:hi] = (q[:, :end].T @ flat).reshape(end, hi - lo, hi - lo)
+    slack = slack.reshape(ends[-1], -1)
+    lmi = _Lmi(np.repeat(mults + [1.0, 1.0], np.diff(offsets)), slice(0, ends[-1]),
+               slack if np.any(np.imag(slack)) else np.real(slack), int(offsets[-1]))
     a_u = q.T @ a_vec
 
     infeasible = OptimizationError(
@@ -432,19 +440,16 @@ def optimize_witness(
     if not a_vec.any():
         raise infeasible
     u0 = a_u / (a_u @ a_u)
-    s0 = min(float(np.linalg.eigvalsh(lmi.matrix(u0))[0]) for lmi in lmis) - 1.0
-    phase_one = [  # the margin s comes first and is subtracted from every LMI
-        lmi._replace(cols=slice(0, lmi.cols.stop + 1),
-                     flat=np.vstack([-np.eye(lmi.dim).ravel(), lmi.flat]))
-        for lmi in lmis
-    ]
+    s0 = float(np.linalg.eigvalsh(lmi.matrix(u0))[0]) - 1.0
+    phase_one = lmi._replace(  # the margin s comes first and is subtracted from the LMI
+        cols=slice(0, lmi.cols.stop + 1), flat=np.vstack([-np.eye(lmi.dim).ravel(), lmi.flat]))
     start, first = _barrier_maximize(
-        np.eye(nb + 2)[0], np.append(0.0, a_u), phase_one, np.append(s0, u0), cfg,
+        np.eye(nb + 2)[0], np.append(0.0, a_u), [phase_one], np.append(s0, u0), cfg,
         stop=lambda x, mu: x[0] > 0,
     )
     if start[0] <= 0:
         raise infeasible
-    u, second = _barrier_maximize(q.T @ np.append(-n_vec, 0.0), a_u, lmis, start[1:], cfg)
+    u, second = _barrier_maximize(q.T @ np.append(-n_vec, 0.0), a_u, [lmi], start[1:], cfg)
     z = q @ u
 
     coeffs, alpha = z[:nb], float(z[nb])
@@ -637,7 +642,7 @@ def _ppt_blocks(
     ])
     units = [_herm_coords(np.eye(d, dtype=float if real else complex)[None])[0] for d in dims]
     a_vec = np.concatenate([mult * unit for mult, unit in zip(mults, units)])
-    lmis = [_Lmi(mult, slice(lo, hi), flat, d)  # X_b, then X_b^T_A, block by block
+    lmis = [_Lmi(np.full(d, mult), slice(lo, hi), flat, d)  # X_b, then X_b^T_A, block by block
             for mult, lo, hi, d, pair in zip(mults, bounds[:-1], bounds[1:], dims, bases)
             for flat in pair]
     stop = None

@@ -348,16 +348,37 @@ def test_fit_converges_when_noise_leaves_spin_blocks_free(p, want):
     assert abs(report.optimum - want) <= 1e-6
 
 
+@pytest.mark.parametrize("axes", ["xy", "xyz"])
+@pytest.mark.parametrize("p", [0.0, 0.5])
+def test_fit_converges_far_out_on_a_nearly_free_face(axes, p):
+    # coefficients near 1e3 on J^8 terms of norm 4^8: rounding in unscaled
+    # coordinates ate the barrier's ~1e-9 certificate margin, and the last
+    # barrier levels end at the rounding floor
+    side = (dicke(8, 3).density() + dicke(8, 5).density()) * 0.5
+    noise = NoiseModel.custom(side * (1 - p) + dicke(8, 4).density() * p)
+    problem = WitnessOptimizationProblem(dicke(8, 4), noise, collective_power_basis(8, tuple(axes)))
+    _, report = optimize_witness(problem)
+    assert report.converged and report.min_eig_slack >= 0
+    assert abs(report.optimum - ((1 - p) * 4 / 3 - p)) <= 1e-6  # <D84|W|D84> = -1
+
+
+def _block_layout(lmi) -> tuple[int, ...]:
+    """Sizes of the finest contiguous diagonal blocks that hold every matrix of ``lmi``."""
+    pattern = np.any(lmi.flat.reshape(-1, lmi.dim, lmi.dim) != 0, axis=0)
+    cuts = [k for k in range(1, lmi.dim) if not (pattern[:k, k:].any() or pattern[k:, :k].any())]
+    return tuple(int(s) for s in np.diff([0] + cuts + [lmi.dim]))
+
+
 @pytest.mark.parametrize("n, axes", [(4, "xy"), (4, "xyz"), (6, "xy"), (6, "xyz")])
 def test_fit_in_spin_blocks_matches_one_dense_block(n, axes, monkeypatch):
     import symwit.optimize as opt
     import symwit.witnesses as wit
 
-    sizes = []
+    layouts = []
     engine = opt._barrier_maximize
 
     def recording(m_vec, a_vec, lmis, x, cfg, stop=None):
-        sizes.append(max(lmi.dim for lmi in lmis))
+        layouts.append([_block_layout(lmi) for lmi in lmis])
         return engine(m_vec, a_vec, lmis, x, cfg, stop)
 
     monkeypatch.setattr(opt, "_barrier_maximize", recording)
@@ -368,9 +389,51 @@ def test_fit_in_spin_blocks_matches_one_dense_block(n, axes, monkeypatch):
     monkeypatch.setattr(wit, "symmetric_amplitudes", lambda state: None)
     problem = dataclasses.replace(problem)  # its blocks are cached
     _, dense = optimize_witness(problem)
-    assert sizes == [n + 1, n + 1, 2**n, 2**n]  # the largest block has spin n/2
+    # one LMI: the spin blocks n/2, n/2 - 1, ..., 0, then the alpha and trace rows
+    spin = tuple(range(n + 1, 0, -2)) + (1, 1)
+    assert layouts == [[spin], [spin], [(2**n, 1, 1)], [(2**n, 1, 1)]]
     assert blocks.converged and dense.converged
     assert abs(blocks.optimum - dense.optimum) <= 1e-8
+
+
+@pytest.mark.parametrize("target, axes", [(dicke(4, 2), "xyz"), (dicke(6, 3), "xy"), (None, "")])
+def test_fit_lmi_is_zero_off_its_blocks_and_past_each_prefix(target, axes, monkeypatch):
+    import symwit.optimize as opt
+
+    if target is None:  # neither PI nor real: one dense block
+        rng = np.random.default_rng(3)
+        vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        target = StateVector(vec / np.linalg.norm(vec))
+    n = target.num_qubits
+    seen = {}
+    prefix, engine = opt._prefix_coordinates, opt._barrier_maximize
+
+    def recording_prefix(flats):
+        seen["sizes"] = [math.isqrt(flat.shape[1]) for flat in flats]
+        q, seen["ends"] = prefix(flats)
+        return q, seen["ends"]
+
+    def recording_engine(m_vec, a_vec, lmis, x, cfg, stop=None):
+        seen["lmis"] = lmis
+        return engine(m_vec, a_vec, lmis, x, cfg, stop)
+
+    monkeypatch.setattr(opt, "_prefix_coordinates", recording_prefix)
+    monkeypatch.setattr(opt, "_barrier_maximize", recording_engine)
+    basis = collective_power_basis(n, tuple(axes)) + (BasisTerm("projector"),)
+    problem = WitnessOptimizationProblem(target, NoiseModel.white(n), basis)
+    assert optimize_witness(problem)[1].converged
+    (lmi,) = seen["lmis"]  # the second phase's
+    sizes, ends = seen["sizes"], seen["ends"]
+    mults = [iso.shape[1] for iso, _ in problem.blocks] + [1, 1]  # the alpha and trace rows
+    assert lmi.dim == sum(sizes) and lmi.cols == slice(0, ends[-1])
+    mats = lmi.flat.reshape(-1, lmi.dim, lmi.dim)
+    inside = np.zeros((lmi.dim, lmi.dim), dtype=bool)
+    offsets = np.cumsum([0] + sizes)
+    for lo, hi, end, mult in zip(offsets[:-1], offsets[1:], ends, mults):
+        inside[lo:hi, lo:hi] = True
+        assert np.all(mats[end:, lo:hi, lo:hi] == 0) and np.any(mats[end - 1, lo:hi, lo:hi])
+        assert np.all(lmi.weight[lo:hi] == mult)
+    assert np.all(mats[:, ~inside] == 0)
 
 
 def test_fit_reaches_the_projector_closed_form_for_a_random_target():

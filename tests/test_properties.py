@@ -1,6 +1,7 @@
 """Property tests: canonical setting keys, sign-flip round trips, Born
 probabilities, bootstrap determinism, the witness certificate and the PPT
-dual bound."""
+dual bound,
+and the barrier of one block-diagonal matrix inequality."""
 
 from __future__ import annotations
 
@@ -18,9 +19,13 @@ from symwit.optimize import (
     PptProblem,
     SolverConfig,
     WitnessOptimizationProblem,
+    _barrier_maximize,
     _batched_pt_front,
     _bipartitions,
     _dual_bound,
+    _herm_coords,
+    _hermitian_basis,
+    _Lmi,
     _objective_blocks,
     _ppt_blocks,
     collective_power_basis,
@@ -262,3 +267,43 @@ def test_ppt_dual_bound_is_an_upper_bound(pi, extra, seed, kind, shift, scale):
     bound = _dual_bound(blocks, p_mats, q_mats)
     assert bound >= value - 1e-9
     assert bound >= max_bisep_seesaw(objective, part, restarts=5) - 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 5)), min_size=1, max_size=4),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_block_diagonal_lmi_matches_separate_lmis(blocks, real, seed):
+    # max sum_b w_b Tr(M_b X_b) over sum_b w_b Tr X_b = 1, X_b > 0, in variables
+    # y that a random rotation spreads over every block; its value is max_b lambda_max(M_b)
+    rng = np.random.default_rng(seed)
+    bases = [_hermitian_basis(d, real).reshape(-1, d * d) for d, _ in blocks]
+    bounds = np.cumsum([0] + [len(basis) for basis in bases])
+    mix = np.linalg.qr(rng.standard_normal((bounds[-1], bounds[-1])))[0]
+    objectives = [_random_hermitian(rng, d) for d, _ in blocks]
+    objectives = [m.real if real else m for m in objectives]
+    m_x = np.concatenate([w * _herm_coords(m[None])[0] for (_, w), m in zip(blocks, objectives)])
+    units = [_herm_coords(np.eye(d, dtype=float if real else complex)[None])[0] for d, _ in blocks]
+    a_x = np.concatenate([w * unit for (_, w), unit in zip(blocks, units)])
+    x0 = np.concatenate(units) / sum(w * d for d, w in blocks)
+    flats = []
+    for basis, lo, hi in zip(bases, bounds[:-1], bounds[1:]):
+        flat = np.zeros((bounds[-1], basis.shape[1]), dtype=basis.dtype)
+        flat[lo:hi] = basis
+        flats.append(mix.T @ flat)  # sum_i y_i flats[i] = sum_j (mix y)_j flat[j]
+    every = slice(0, bounds[-1])
+    separate = [_Lmi(np.full(d, float(w)), every, flat, d) for (d, w), flat in zip(blocks, flats)]
+    dim = sum(d for d, _ in blocks)
+    stacked = np.zeros((bounds[-1], dim, dim), dtype=flats[0].dtype)
+    offsets = np.cumsum([0] + [d for d, _ in blocks])
+    for (d, _), flat, lo in zip(blocks, flats, offsets):
+        stacked[:, lo:lo + d, lo:lo + d] = flat.reshape(-1, d, d)
+    weight = np.repeat([float(w) for _, w in blocks], [d for d, _ in blocks])
+    single = [_Lmi(weight, every, stacked.reshape(len(stacked), -1), dim)]
+    cfg = SolverConfig()
+    reports = [_barrier_maximize(mix.T @ m_x, mix.T @ a_x, lmis, mix.T @ x0, cfg)[1]
+               for lmis in (separate, single)]
+    assert all(r.converged for r in reports)
+    assert abs(reports[0].optimum - reports[1].optimum) <= 1e-9
+    assert reports[0].dual_residual == reports[1].dual_residual
+    want = max(float(np.linalg.eigvalsh(m)[-1]) for m in objectives)
+    assert -1e-9 <= want - reports[1].optimum <= reports[1].dual_residual + 1e-9
