@@ -26,8 +26,9 @@ distribution of a bootstrap over outcome patterns.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,20 +56,21 @@ class CountRecord:
     count: int
 
     def __post_init__(self) -> None:
-        if not self.outcomes or any(ch not in "+-" for ch in self.outcomes):
+        if not self.outcomes or self.outcomes.strip("+-"):
             raise ValueError(f"outcomes must be a nonempty +/- string, got {self.outcomes!r}")
         if self.count < 0:
             raise ValueError("count must be nonnegative")
 
-    def json_line(self) -> str:
-        return json.dumps(
-            {
-                "setting": self.setting.json_entry(),
-                "outcomes": self.outcomes,
-                "count": int(self.count),
-            },
-            separators=(", ", ": "),
-        )
+    def json_line(self, prefix: str | None = None) -> str:
+        """The record's NDJSON line; ``prefix`` is ``_line_prefix(self.setting)`` if known."""
+        prefix = _line_prefix(self.setting) if prefix is None else prefix
+        return f'{prefix}{self.outcomes}", "count": {int(self.count)}}}'
+
+
+def _line_prefix(setting: Setting) -> str:
+    """A record's line up to its outcomes, which need no JSON escaping."""
+    entry = json.dumps(setting.json_entry(), separators=(", ", ": "))
+    return f'{{"setting": {entry}, "outcomes": "'
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,10 @@ class CountsDataset:
 
     # -- NDJSON ----------------------------------------------------------
     def to_ndjson(self) -> str:
-        return "".join(rec.json_line() + "\n" for rec in self.records)
+        # one prefix per setting object: equal settings may still print apart (0.0 and -0.0)
+        settings = {id(rec.setting): rec.setting for rec in self.records}
+        prefixes = {key: _line_prefix(setting) for key, setting in settings.items()}
+        return "".join(rec.json_line(prefixes[id(rec.setting)]) + "\n" for rec in self.records)
 
     @classmethod
     def from_ndjson(cls, text: str) -> "CountsDataset":
@@ -150,7 +155,7 @@ class TermEstimate:
     contribution: float
 
     def to_json(self) -> dict:
-        return {**asdict(self), "setting": list(self.setting) if self.setting is not None else None}
+        return {**vars(self), "setting": list(self.setting) if self.setting is not None else None}
 
 
 @dataclass(frozen=True)
@@ -169,7 +174,7 @@ class EvaluationResult:
     per_term: tuple[TermEstimate, ...]
 
     def to_json(self) -> dict:
-        return {**asdict(self), "per_term": [t.to_json() for t in self.per_term]}
+        return {**vars(self), "per_term": [t.to_json() for t in self.per_term]}
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +217,6 @@ def _born_probabilities(
     return probs / total
 
 
-def _outcome_string(index: int, num_qubits: int) -> str:
-    return "".join(
-        "+" if (index >> (num_qubits - 1 - k)) & 1 == 0 else "-"
-        for k in range(num_qubits)
-    )
-
-
 def simulate_counts(
     state: StateVector | DenseOperator,
     schedule: Schedule,
@@ -241,13 +239,14 @@ def simulate_counts(
     if shots_per_setting <= 0:
         raise ValueError("shots_per_setting must be positive")
     records = []
+    outcomes = tuple(map("".join, itertools.product("+-", repeat=n)))  # "+" for a 0 bit
     for index, setting in enumerate(schedule.settings):
         probs = _born_probabilities(state, setting, n)
         rng = np.random.default_rng(seed + index)
         draws = rng.multinomial(shots_per_setting, probs)
         for basis_index in np.nonzero(draws)[0]:
             records.append(
-                CountRecord(setting, _outcome_string(int(basis_index), n), int(draws[basis_index]))
+                CountRecord(setting, outcomes[basis_index], int(draws[basis_index]))
             )
     return CountsDataset(n, tuple(records))
 

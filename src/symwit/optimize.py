@@ -9,12 +9,13 @@ coefficients over a fixed operator basis: ``W - alpha * W_P >= 0`` holds
 exactly when each spin-``j`` block of it does (at N=8 the largest is
 9-square instead of 256-square), and the fit is one such inequality.
 ``max_ppt`` maximizes a Hermitian objective over density matrices whose
-partial transpose across a given bipartition stays positive; the optimal
-state for a permutation-invariant objective splits into one block per pair
-of part spins ``(j_A, j_B)`` (see :func:`max_ppt`), so at N=6 the largest
-matrix is 16-square instead of 64-square.  ``max_bisep_seesaw`` and
-``max_symmetric_product`` provide matching product-state lower bounds by
-alternating eigenvector updates (all random restarts batched) and a
+partial transpose across a given bipartition stays positive, with a
+certified duality gap; for a permutation-invariant objective the maximum
+is that of the best block per pair of part spins ``(j_A, j_B)`` (see
+:func:`max_ppt`), so at N=6 the largest solve is 16-square, not 64-square.
+``max_bisep_seesaw`` and ``max_symmetric_product`` provide matching
+product-state lower bounds by alternating eigenvector updates (all random
+restarts batched, per spin block when permutation invariant) and a
 Bloch-sphere grid search on the spin-``N/2`` block.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -81,10 +82,9 @@ class SolverConfig:
     """Numerical knobs shared by the solvers.
 
     ``barrier_tol`` is the final barrier parameter mu of the interior-point
-    engine that fits witnesses and maximizes over PPT states (the duality
-    gap is ``mu`` times the summed barrier weights of the rows of its
-    matrix inequalities); the seesaw fields control the random-restart
-    product-state search.  All randomness flows from ``seed`` through
+    engine that fits witnesses and maximizes over PPT states (see
+    :class:`SolverReport` for the duality gap); the seesaw fields control
+    the random-restart product-state search.  All randomness flows from ``seed`` through
     explicit generators, so runs are reproducible.
     """
 
@@ -116,8 +116,9 @@ class SolverReport:
 
     ``optimum`` is the objective value at the returned point;
     ``primal_residual`` the violation of the equality constraints;
-    ``dual_residual`` the barrier's duality gap, ``mu`` times the summed row
-    weights of its matrix inequalities (``2 * dim * mu`` for a PPT problem);
+    ``dual_residual`` the duality gap: certified for a PPT result
+    (``optimum + dual_residual`` is an upper bound), and for a witness fit
+    ``mu`` times the summed row weights of its matrix inequality;
     ``min_eig_slack`` the smallest eigenvalue over the semidefinite blocks at
     the returned point (for a witness fit, the spec's certificate slack).
     """
@@ -612,49 +613,71 @@ def _dual_bound(blocks: list[_Block], p_mats, q_mats) -> float:
     return bound
 
 
+def _ppt_block(
+    blk: _Block, cfg: SolverConfig, floor: float, top: float
+) -> tuple[np.ndarray, SolverReport]:
+    """Maximize ``Tr(M_b Y)`` over ``Tr Y = 1``, ``Y, Y^T_A > 0``, from ``Y = 1 / d``.
+
+    Each level's end point, and the returned one with ``mu = barrier_tol``,
+    give the dual point ``mu Y^-1``, ``mu (Y^T_A)^-1`` of :func:`_dual_bound`;
+    ``dual_residual`` is the least of these bounds and ``top`` minus the
+    value.  Once it is below ``floor - 1e-9 (1 + |floor|)`` the path stops.
+    """
+    real = not np.any(np.imag(blk.objective))
+    m_b = np.real(blk.objective) if real else blk.objective
+    d = blk.dim_a * blk.dim_b
+    unit = _herm_coords(np.eye(d, dtype=m_b.dtype)[None])[0]
+    lmis = [_Lmi(np.ones(d), slice(0, len(unit)), flat, d)  # Y, then Y^T_A
+            for flat in _block_basis(blk.dim_a, blk.dim_b, real)]
+    cutoff = floor - 1e-9 * (1.0 + abs(floor))
+    least = top
+
+    def certify(x: np.ndarray, mu: float) -> bool:
+        nonlocal least
+        p_b, q_b = (_herm(mu * np.linalg.inv(lmi.matrix(x))) for lmi in lmis)
+        least = min(least, _dual_bound([blk], [p_b], [q_b]))
+        return least < cutoff
+
+    x, report = _barrier_maximize(_herm_coords(m_b[None])[0], unit, lmis, unit / d, cfg, certify)
+    certify(x, cfg.barrier_tol)
+    return lmis[0].matrix(x), replace(report, dual_residual=least - report.optimum)
+
+
 def _ppt_blocks(
     blocks: list[_Block], cfg: SolverConfig, floor: float = -math.inf
 ) -> tuple[list[np.ndarray], SolverReport]:
-    """Maximize ``sum_b mult_b Tr(M_b X_b)`` over ``sum_b mult_b Tr(X_b) = 1``, X_b, X_b^T_A > 0.
+    """Maximize ``sum_b mult_b Tr(M_b X_b)`` over ``sum_b mult_b Tr(X_b) = 1``, X_b, X_b^T_A >= 0.
 
-    With the LMIs ``X_b`` and ``X_b^T_A`` weighted ``mult_b``, the barrier is
-    the dense one of ``rho = V (+)_b (X_b (x) 1_mult_b) V^T`` and
-    ``rho^T_A`` (``V`` real orthogonal, keeping the partial transpose inside
-    each block), so the central path is the dense problem's.  ``X_b`` has
-    coordinates in an orthonormal Hermitian basis, real symmetric when no
-    ``M_b`` has an imaginary part; the path starts at ``X_b = 1 / dim``.
-
-    With a finite ``floor``, the end point of each level gives the dual
-    point ``P_b = mu X_b^-1``, ``Q_b = mu (X_b^T_A)^-1`` of
-    :func:`_dual_bound`; once that bound is below
-    ``floor - 1e-9 (1 + |floor|)`` the path stops, unconverged, at a
-    feasible point whose value is below ``floor``.
+    With ``t_b = mult_b Tr X_b`` and ``Y_b = X_b / Tr X_b`` the objective is
+    ``sum_b t_b Tr(M_b Y_b)``, so the maximum is the best block's own
+    (:func:`_ppt_block`), returned as ``X_b = Y_b / mult_b``, other blocks 0.
+    Blocks are solved in descending ``lambda_max(M_b)``, ties in block order,
+    each with floor ``bound = max(floor, best value so far)``, until one has
+    ``lambda_max(M_b) < bound - 1e-12 (1 + |bound|)``.  The first block of
+    the greatest value wins; its ``dual_residual`` is from the greatest
+    bound of any block (``lambda_max`` if skipped).  If all are skipped, the
+    result is the top block's ``Y = 1 / d``, unconverged after 0 iterations.
     """
-    real = not any(np.any(np.imag(b.objective)) for b in blocks)
-    objectives = [np.real(b.objective) if real else b.objective for b in blocks]
-    bases = [_block_basis(b.dim_a, b.dim_b, real) for b in blocks]
-    bounds = np.cumsum([0] + [len(flat) for flat, _ in bases])
-    dims = [b.dim_a * b.dim_b for b in blocks]
-    mults = [float(b.mult) for b in blocks]
-    dim = sum(b.mult * d for b, d in zip(blocks, dims))
-    m_vec = np.concatenate([
-        mult * _herm_coords(m_b[None])[0] for mult, m_b in zip(mults, objectives)
-    ])
-    units = [_herm_coords(np.eye(d, dtype=float if real else complex)[None])[0] for d in dims]
-    a_vec = np.concatenate([mult * unit for mult, unit in zip(mults, units)])
-    lmis = [_Lmi(np.full(d, mult), slice(lo, hi), flat, d)  # X_b, then X_b^T_A, block by block
-            for mult, lo, hi, d, pair in zip(mults, bounds[:-1], bounds[1:], dims, bases)
-            for flat in pair]
-    stop = None
-    if floor > -math.inf:
-        cutoff = floor - 1e-9 * (1.0 + abs(floor))
-
-        def stop(x: np.ndarray, mu: float) -> bool:
-            duals = [_herm(mu * np.linalg.inv(lmi.matrix(x))) for lmi in lmis]
-            return _dual_bound(blocks, duals[::2], duals[1::2]) < cutoff
-
-    x, report = _barrier_maximize(m_vec, a_vec, lmis, np.concatenate(units) / dim, cfg, stop)
-    return [lmi.matrix(x) for lmi in lmis[::2]], report
+    tops = [float(np.linalg.eigvalsh(b.objective)[-1]) for b in blocks]
+    order = sorted(range(len(blocks)), key=lambda i: -tops[i])
+    best: tuple[int, np.ndarray, SolverReport] | None = None
+    upper = -math.inf
+    for i in order:
+        bound = floor if best is None else max(floor, best[2].optimum)
+        if tops[i] < bound - 1e-12 * (1.0 + abs(bound)):
+            upper = max(upper, tops[i])
+            break
+        y, report = _ppt_block(blocks[i], cfg, bound, tops[i])
+        upper = max(upper, report.optimum + report.dual_residual)
+        if best is None or report.optimum > best[2].optimum:
+            best = (i, y, report)
+    if best is None:
+        i, d = order[0], blocks[order[0]].dim_a * blocks[order[0]].dim_b
+        value = float(np.real(np.trace(blocks[i].objective))) / d
+        best = (i, np.eye(d) / d, SolverReport(value, 0.0, 0.0, 1.0 / d, 0, False))
+    i, y, report = best
+    x_blocks = [y / b.mult if j == i else np.zeros_like(b.objective) for j, b in enumerate(blocks)]
+    return x_blocks, replace(report, dual_residual=upper - report.optimum)
 
 
 @lru_cache(maxsize=16)
@@ -682,22 +705,17 @@ def _front_permutation(part: tuple[int, ...], num_qubits: int):
     return tuple(order.index(q) + 1 for q in range(1, num_qubits + 1)), tuple(order)
 
 
-def _objective_blocks(problem: PptProblem):
-    """The embeddings ``(dim_a, dim_b, V)`` of :func:`max_ppt` and the objective's blocks on them."""
-    m = problem.objective
+def _objective_blocks(m: DenseOperator, part: tuple[int, ...], pi: bool):
+    """The embeddings ``(dim_a, dim_b, V)`` of :func:`max_ppt` and ``m``'s blocks on them;
+    one dense block unless ``pi`` (``m`` is permutation invariant)."""
     n = m.num_qubits
-    k = len(problem.bipartition)
-    if is_permutation_invariant(m):
+    k = len(part)
+    if pi:
         embeddings = _spin_embeddings(n, k)
         m_mat = m.mat
     else:
-        if n > 5:
-            raise OptimizationError(
-                "dense PPT maximization without permutation symmetry is "
-                "limited to 5 qubits"
-            )
         embeddings = ((2**k, 2 ** (n - k), np.eye(2**n)[:, None, :]),)
-        m_mat = permute_qubits(m, _front_permutation(problem.bipartition, n)[0]).mat
+        m_mat = permute_qubits(m, _front_permutation(part, n)[0]).mat
     blocks = [_Block(dim_a, dim_b, iso.shape[1], _herm(compress(m_mat, iso)))
               for dim_a, dim_b, iso in embeddings]
     return embeddings, blocks
@@ -715,20 +733,29 @@ def max_ppt(
     direct sums of blocks labelled by the part spins ``(j_A, j_B)``, of size
     ``(2 j_A + 1)(2 j_B + 1)`` and multiplicity the product of the spin
     multiplicities, and the partial transpose maps each block to itself.
-    Any part of a given size then gives the same value.  Other objectives are
-    solved as one dense block, which is practical up to 5 qubits.  The
-    returned ``rho`` is the dense state on the original qubit order.
+    Any part of a given size then gives the same value.  The maximum is the
+    best block's alone: blocks are solved in descending ``lambda_max(M_b)``,
+    ties in block order, a block whose ``lambda_max`` is below the best value
+    so far (or ``floor``) is skipped with every later one, and the first block
+    of the greatest value wins (see :func:`_ppt_blocks`).  Other objectives
+    are one dense block, refused above 5 qubits.  The returned ``rho`` is the
+    dense state on the original qubit order, and ``value + dual_residual``
+    is a certified upper bound.
 
-    A finite ``floor`` lets the solve stop early once a dual bound shows the
-    maximum is below ``floor`` (see :func:`_ppt_blocks`): the result is then
-    a feasible state with value below ``floor`` and ``converged=False``.
-    A solve that is not stopped is the same, bit for bit, as without a floor.
+    A finite ``floor`` lets blocks be skipped, or a solve stop early once a
+    dual bound shows the maximum is below ``floor``: the result is then a
+    feasible state with value below ``floor`` and ``converged=False``.  A
+    result with value at least ``floor`` is, bit for bit, the one without.
     """
     cfg = config or SolverConfig()
-    embeddings, blocks = _objective_blocks(problem)
+    m, n = problem.objective, problem.objective.num_qubits
+    pi = is_permutation_invariant(m)
+    if not pi and n > 5:
+        raise OptimizationError("PPT maximization without permutation symmetry: 5 qubits at most")
+    embeddings, blocks = _objective_blocks(m, problem.bipartition, pi)
     x_blocks, report = _ppt_blocks(blocks, cfg, floor=floor)
-    rho_mat = lift((iso, xb) for (_, _, iso), xb in zip(embeddings, x_blocks))
-    inverse = _front_permutation(problem.bipartition, problem.objective.num_qubits)[1]
+    rho_mat = lift((iso, xb) for (_, _, iso), xb in zip(embeddings, x_blocks) if xb.any())
+    inverse = _front_permutation(problem.bipartition, n)[1]
     rho = permute_qubits(DenseOperator(_herm(rho_mat)), inverse)
     return PptResult(value=report.optimum, rho=rho, report=report)
 
@@ -754,7 +781,8 @@ def max_ppt_all(
 
     States that mix over bipartitions cannot exceed the best single
     bipartition for a linear objective, so the scan over bipartitions is
-    exact.  Ties are resolved to the first bipartition in scan order
+    exact, and the winning bipartition's certified gap is the scan's.  Ties
+    are resolved to the first bipartition in scan order
     (ascending part size, lexicographic within a size): a later one must
     be strictly greater.  So each later bipartition gets the running best
     value as its ``floor`` and stops as soon as its dual bound falls below
@@ -800,23 +828,22 @@ def max_bisep_seesaw(
     final value is a certified lower bound on the biseparable maximum.
     """
     cfg = config or SolverConfig()
-    if restarts is None:
-        restarts = cfg.seesaw_restarts
-    if tol is None:
-        tol = cfg.seesaw_tol
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    restarts = cfg.seesaw_restarts if restarts is None else restarts
+    tol = cfg.seesaw_tol if tol is None else tol
+    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     n = objective.num_qubits
     part = _proper_part(bipartition, n)
-    prefix = tuple(range(1, len(part) + 1))
-    m = objective
-    if part != prefix:
-        perm, _ = _front_permutation(part, n)
-        m = permute_qubits(objective, perm)
-    dim_a = 2 ** len(part)
-    dim_b = 2 ** (n - len(part))
+    m = permute_qubits(objective, _front_permutation(part, n)[0])
+    return _seesaw(m.mat, 2 ** len(part), 2 ** (n - len(part)), restarts, tol, rng)
+
+
+def _seesaw(
+    mat: np.ndarray, dim_a: int, dim_b: int, restarts: int, tol: float, rng: np.random.Generator
+) -> float:
+    """Best ``<a(x)b| mat |a(x)b>`` over ``dim_a`` x ``dim_b`` product states found by
+    alternating eigenvector updates from ``restarts`` random starts of ``b``, all batched."""
     # reshuffle[(j, l), (i, k)] = M[(i, j), (k, l)], so each partial contraction is a matmul
-    reshuffle = m.mat.reshape(dim_a, dim_b, dim_a, dim_b).transpose(1, 3, 0, 2)
+    reshuffle = mat.reshape(dim_a, dim_b, dim_a, dim_b).transpose(1, 3, 0, 2)
     reshuffle = reshuffle.reshape(dim_b**2, dim_a**2)
     vec_b = np.empty((restarts, dim_b), dtype=complex)
     for r in range(restarts):
@@ -852,17 +879,31 @@ def max_bisep_all(
 
     Mixtures of biseparable states cannot exceed the best pure product state
     for a linear objective, so this lower-bounds the biseparable maximum and
-    is tight when the seesaw finds the global optimum for each split.
+    is tight when the seesaw finds the global optimum for each split.  A
+    permutation-invariant objective on at most ``PPT_MAX_QUBITS`` qubits is
+    searched per ``(j_A, j_B)`` block of :func:`max_ppt` (the value is bilinear
+    in the parts' reduced block states), in descending ``lambda_max`` while
+    above the best so far; a block with ``dim_a`` or ``dim_b`` 1 is its ``lambda_max``.
     """
     cfg = config or SolverConfig()
+    restarts = cfg.seesaw_restarts if restarts is None else restarts
+    tol = cfg.seesaw_tol if tol is None else tol
     best_value = -math.inf
     best_part: tuple[int, ...] | None = None
-    parts = _bipartitions(objective.num_qubits, is_permutation_invariant(objective))
-    for index, part in enumerate(parts):
+    pi = is_permutation_invariant(objective)
+    for index, part in enumerate(_bipartitions(objective.num_qubits, pi)):
         rng = np.random.default_rng(cfg.seed + index)
-        value = max_bisep_seesaw(
-            objective, part, restarts=restarts, tol=tol, config=cfg, rng=rng
-        )
+        if not pi or objective.num_qubits > PPT_MAX_QUBITS:  # bounds the cached embeddings
+            value = max_bisep_seesaw(objective, part, restarts, tol, cfg, rng)
+        else:
+            _, blocks = _objective_blocks(objective, part, pi)
+            tops = [float(np.linalg.eigvalsh(b.objective)[-1]) for b in blocks]
+            value = -math.inf
+            for top, blk in sorted(zip(tops, blocks), key=lambda pair: -pair[0]):
+                if top <= max(value, best_value):
+                    break
+                value = max(value, top if min(blk.dim_a, blk.dim_b) == 1 else
+                            _seesaw(blk.objective, blk.dim_a, blk.dim_b, restarts, tol, rng))
         if value > best_value:
             best_value, best_part = value, part
     assert best_part is not None

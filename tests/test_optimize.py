@@ -193,6 +193,87 @@ def test_floor_stops_a_losing_bipartition():
     assert np.linalg.eigvalsh(partial_transpose(rho, (1, 2)).mat)[0] > -1e-9
 
 
+def test_floor_above_every_block_returns_the_start_point():
+    m = penalty_objective(4, 1, 0.0)
+    top = float(np.linalg.eigvalsh(m.mat)[-1])
+    result = max_ppt(PptProblem(m, (1,)), floor=top + 1.0)
+    report = result.report
+    assert not report.converged and report.iterations == 0
+    assert abs(result.value - float(np.real(np.trace(m.mat @ result.rho.mat)))) < 1e-12
+    assert abs(result.value + report.dual_residual - top) < 1e-12
+    assert abs(result.rho.trace() - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(partial_transpose(result.rho, (1,)).mat)[0] > -1e-12
+
+
+PPT_THRESHOLD_GRID = [(4, 1, round(0.2 * k, 1)) for k in range(15)] + [(4, 1, 1.47), (5, 2, 0.0)]
+
+
+def _exhaustive_block_ppt(objective: DenseOperator, part: tuple[int, ...]):
+    """max_ppt with every block solved alone, no skip and no floor: (value, rho bytes, report)."""
+    from symwit.optimize import _front_permutation, _herm, _objective_blocks, _ppt_blocks
+    from symwit.symmetric import lift, permute_qubits
+
+    embeddings, blocks = _objective_blocks(objective, part, True)
+    solves = [_ppt_blocks([b], SolverConfig()) for b in blocks]
+    tops = [np.linalg.eigvalsh(b.objective)[-1] for b in blocks]
+    win = None
+    for i in sorted(range(len(blocks)), key=lambda i: -tops[i]):
+        if win is None or solves[i][1].optimum > solves[win][1].optimum:
+            win = i
+    (x_blocks, report), iso = solves[win], embeddings[win][2]
+    upper = max(r.optimum + r.dual_residual for _, r in solves)
+    report = dataclasses.replace(report, dual_residual=upper - report.optimum)
+    rho = DenseOperator(_herm(lift([(iso, x_blocks[0])])))
+    rho = permute_qubits(rho, _front_permutation(part, objective.num_qubits)[1])
+    return report.optimum, rho.mat.tobytes(), report
+
+
+@pytest.mark.parametrize("objective", [
+    penalty_objective(4, 1, 0.0), penalty_objective(4, 1, 2.4), penalty_objective(4, 1, 1.47),
+    penalty_objective(5, 2, 0.0), random_pi_objective(4, np.random.default_rng(7)),
+    random_pi_objective(5, np.random.default_rng(17)),  # near-tied blocks: several are solved
+], ids=["q0", "q2.4", "q1.47", "n5", "random-complex", "random-near-tie"])
+def test_block_scan_matches_exhaustive_block_solves(objective):
+    from symwit.optimize import _bipartitions
+
+    for part in _bipartitions(objective.num_qubits, True):
+        got = max_ppt(PptProblem(objective, part))
+        assert (got.value, got.rho.mat.tobytes(), got.report) == \
+            _exhaustive_block_ppt(objective, part)
+
+
+@pytest.mark.parametrize("key", PPT_THRESHOLD_GRID + [(6, 3, 0.0), (8, 4, 0.0)], ids=str)
+def test_product_maximum_is_within_the_certified_ppt_bound(key):
+    objective = penalty_objective(*key)
+    ppt = max_ppt_all(objective)
+    assert ppt.report.converged and 0.0 <= ppt.report.dual_residual <= 1e-6
+    assert max_bisep_all(objective).value <= ppt.value + ppt.report.dual_residual
+
+
+def _dense_bisep_all(objective: DenseOperator) -> float:
+    """max_bisep_all as max_bisep_seesaw on each bipartition, seeded the same way."""
+    from symwit.optimize import _bipartitions
+    from symwit.symmetric import is_permutation_invariant
+
+    parts = _bipartitions(objective.num_qubits, is_permutation_invariant(objective))
+    return max(max_bisep_seesaw(objective, part, rng=np.random.default_rng(index))
+               for index, part in enumerate(parts))
+
+
+@pytest.mark.parametrize("key", PPT_THRESHOLD_GRID + [(6, 3, 0.0)], ids=str)
+def test_block_product_search_matches_the_dense_seesaw(key):
+    objective = penalty_objective(*key)
+    got = max_bisep_all(objective).value
+    assert abs(got - _dense_bisep_all(objective)) <= 1e-9
+    if key == (4, 1, 0.0):
+        assert abs(got - (3.5 + math.sqrt(3))) <= 1e-9
+
+
+def test_product_search_without_symmetry_is_the_dense_seesaw():
+    objective = random_real_objective(3, 5)
+    assert max_bisep_all(objective).value == _dense_bisep_all(objective)
+
+
 def test_seesaw_bell_oracle_and_restart_prefix_monotone():
     m = bell_projector()
     v50 = max_bisep_seesaw(m, (1,), restarts=50)

@@ -30,6 +30,7 @@ from symwit.optimize import (
     _ppt_blocks,
     collective_power_basis,
     max_bisep_seesaw,
+    max_ppt,
     optimize_witness,
     q_scan,
 )
@@ -239,8 +240,9 @@ def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
        st.sampled_from(["random", "central"]), st.floats(-3.0, 3.0), st.floats(1e-3, 10.0))
 def test_ppt_dual_bound_is_an_upper_bound(pi, extra, seed, kind, shift, scale):
     # PI objectives at N = 3-4 in spin blocks, others at N = 2-3 in one block;
-    # P and Q random (shifted, so indefinite ones are drawn) or the solve's
-    # own central-path duals mu X^-1, mu (X^T_A)^-1 plus a random part
+    # P and Q random (shifted, so indefinite ones are drawn) or each block's
+    # own central-path duals mu X^-1, mu (X^T_A)^-1 plus a random part, X
+    # from the block's single-block solve (the scan leaves the other blocks zero)
     rng = np.random.default_rng(seed)
     n = (3 if pi else 2) + extra
     if pi:
@@ -250,15 +252,16 @@ def test_ppt_dual_bound_is_an_upper_bound(pi, extra, seed, kind, shift, scale):
         objective = DenseOperator(_random_hermitian(rng, 2**n))
     parts = _bipartitions(n, pi)
     part = parts[int(rng.integers(len(parts)))]
-    _, blocks = _objective_blocks(PptProblem(objective.hermitized(), part))
+    _, blocks = _objective_blocks(objective.hermitized(), part, pi)
     cfg = SolverConfig()
     x_blocks, _ = _ppt_blocks(blocks, cfg)
     value = sum(b.mult * float(np.real(np.trace(b.objective @ x))) for b, x in zip(blocks, x_blocks))
     p_mats, q_mats = [], []
-    for b, x in zip(blocks, x_blocks):
+    for b in blocks:
         d = b.dim_a * b.dim_b
         p_b, q_b = (scale * _random_hermitian(rng, d) + shift * np.eye(d) for _ in range(2))
         if kind == "central":
+            x = _ppt_blocks([b], cfg)[0][0]
             x_pt = _batched_pt_front(x[None], b.dim_a)[0]
             p_b = cfg.barrier_tol * (np.linalg.inv(x) + p_b)
             q_b = cfg.barrier_tol * (np.linalg.inv(x_pt) + q_b)
@@ -267,6 +270,23 @@ def test_ppt_dual_bound_is_an_upper_bound(pi, extra, seed, kind, shift, scale):
     bound = _dual_bound(blocks, p_mats, q_mats)
     assert bound >= value - 1e-9
     assert bound >= max_bisep_seesaw(objective, part, restarts=5) - 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(st.integers(3, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_no_block_beats_the_block_scan_by_more_than_its_gap(n, seed, real):
+    # random PI objectives from collective powers, J_y (the imaginary term) optional
+    rng = np.random.default_rng(seed)
+    terms = [op_power(collective_j(n, a), k) for a in "xyz" for k in (1, 2)
+             if not (real and (a, k) == ("y", 1))]
+    objective = sum((float(rng.standard_normal()) * t for t in terms), identity(n) * 0.0)
+    for part in _bipartitions(n, True):
+        result = max_ppt(PptProblem(objective.hermitized(), part))
+        assert result.report.dual_residual >= 0.0
+        _, blocks = _objective_blocks(objective.hermitized(), part, True)
+        for block in blocks:
+            alone = _ppt_blocks([block], SolverConfig())[1].optimum
+            assert alone <= result.value + result.report.dual_residual
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
