@@ -61,16 +61,18 @@ class CountRecord:
         if self.count < 0:
             raise ValueError("count must be nonnegative")
 
-    def json_line(self, prefix: str | None = None) -> str:
-        """The record's NDJSON line; ``prefix`` is ``_line_prefix(self.setting)`` if known."""
-        prefix = _line_prefix(self.setting) if prefix is None else prefix
-        return f'{prefix}{self.outcomes}", "count": {int(self.count)}}}'
+    def json_line(self) -> str:
+        return _json_line(_line_prefix(self.setting), self)
 
 
 def _line_prefix(setting: Setting) -> str:
     """A record's line up to its outcomes, which need no JSON escaping."""
     entry = json.dumps(setting.json_entry(), separators=(", ", ": "))
     return f'{{"setting": {entry}, "outcomes": "'
+
+
+def _json_line(prefix: str, rec: CountRecord) -> str:  # prefix: _line_prefix(rec.setting)
+    return f'{prefix}{rec.outcomes}", "count": {int(rec.count)}}}'
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ class CountsDataset:
         # one prefix per setting object: equal settings may still print apart (0.0 and -0.0)
         settings = {id(rec.setting): rec.setting for rec in self.records}
         prefixes = {key: _line_prefix(setting) for key, setting in settings.items()}
-        return "".join(rec.json_line(prefixes[id(rec.setting)]) + "\n" for rec in self.records)
+        return "".join(_json_line(prefixes[id(rec.setting)], rec) + "\n" for rec in self.records)
 
     @classmethod
     def from_ndjson(cls, text: str) -> "CountsDataset":

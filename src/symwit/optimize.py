@@ -14,9 +14,8 @@ certified duality gap; for a permutation-invariant objective the maximum
 is that of the best block per pair of part spins ``(j_A, j_B)`` (see
 :func:`max_ppt`), so at N=6 the largest solve is 16-square, not 64-square.
 ``max_bisep_seesaw`` and ``max_symmetric_product`` provide matching
-product-state lower bounds by alternating eigenvector updates (all random
-restarts batched, per spin block when permutation invariant) and a
-Bloch-sphere grid search on the spin-``N/2`` block.
+product-state lower bounds by batched alternating eigenvector updates (per
+spin block if permutation invariant) and a Bloch-sphere grid search.
 """
 
 from __future__ import annotations
@@ -120,7 +119,8 @@ class SolverReport:
     (``optimum + dual_residual`` is an upper bound), and for a witness fit
     ``mu`` times the summed row weights of its matrix inequality;
     ``min_eig_slack`` the smallest eigenvalue over the semidefinite blocks at
-    the returned point (for a witness fit, the spec's certificate slack).
+    the returned point (for a witness fit, the spec's certificate slack);
+    ``iterations`` the Newton steps taken, over every solve behind the result.
     """
 
     optimum: float
@@ -613,15 +613,12 @@ def _dual_bound(blocks: list[_Block], p_mats, q_mats) -> float:
     return bound
 
 
-def _ppt_block(
-    blk: _Block, cfg: SolverConfig, floor: float, top: float
-) -> tuple[np.ndarray, SolverReport]:
-    """Maximize ``Tr(M_b Y)`` over ``Tr Y = 1``, ``Y, Y^T_A > 0``, from ``Y = 1 / d``.
+def _ppt_block(blk: _Block, cfg: SolverConfig, floor: float, top: float):
+    """``(Y, report)`` maximizing ``Tr(M_b Y)``, ``Tr Y = 1``, ``Y, Y^T_A > 0``, from ``Y = 1 / d``.
 
-    Each level's end point, and the returned one with ``mu = barrier_tol``,
-    give the dual point ``mu Y^-1``, ``mu (Y^T_A)^-1`` of :func:`_dual_bound`;
-    ``dual_residual`` is the least of these bounds and ``top`` minus the
-    value.  Once it is below ``floor - 1e-9 (1 + |floor|)`` the path stops.
+    ``dual_residual`` is the least of ``top`` and the :func:`_dual_bound` at
+    ``mu Y^-1``, ``mu (Y^T_A)^-1`` of each level's end point and of the returned one
+    (``mu = barrier_tol``), minus the value; below ``floor - 1e-9 (1 + |floor|)`` it stops.
     """
     real = not np.any(np.imag(blk.objective))
     m_b = np.real(blk.objective) if real else blk.objective
@@ -651,33 +648,38 @@ def _ppt_blocks(
     With ``t_b = mult_b Tr X_b`` and ``Y_b = X_b / Tr X_b`` the objective is
     ``sum_b t_b Tr(M_b Y_b)``, so the maximum is the best block's own
     (:func:`_ppt_block`), returned as ``X_b = Y_b / mult_b``, other blocks 0.
-    Blocks are solved in descending ``lambda_max(M_b)``, ties in block order,
-    each with floor ``bound = max(floor, best value so far)``, until one has
-    ``lambda_max(M_b) < bound - 1e-12 (1 + |bound|)``.  The first block of
-    the greatest value wins; its ``dual_residual`` is from the greatest
-    bound of any block (``lambda_max`` if skipped).  If all are skipped, the
-    result is the top block's ``Y = 1 / d``, unconverged after 0 iterations.
+    Blocks are solved in :func:`_blocks_by_top` order with floor ``bound =
+    max(floor, best so far)`` until ``lambda_max(M_b) < bound - 1e-12 (1 + |bound|)``.
+    The first of the greatest value wins, with the greatest bound of any block
+    (``lambda_max`` if skipped) and the Newton steps of all; if all are
+    skipped, it is the top block's ``Y = 1 / d`` after 0 iterations.
     """
-    tops = [float(np.linalg.eigvalsh(b.objective)[-1]) for b in blocks]
-    order = sorted(range(len(blocks)), key=lambda i: -tops[i])
+    order = _blocks_by_top(blocks)
     best: tuple[int, np.ndarray, SolverReport] | None = None
-    upper = -math.inf
-    for i in order:
+    upper, steps = -math.inf, 0
+    for top, i in order:
         bound = floor if best is None else max(floor, best[2].optimum)
-        if tops[i] < bound - 1e-12 * (1.0 + abs(bound)):
-            upper = max(upper, tops[i])
+        if top < bound - 1e-12 * (1.0 + abs(bound)):
+            upper = max(upper, top)
             break
-        y, report = _ppt_block(blocks[i], cfg, bound, tops[i])
+        y, report = _ppt_block(blocks[i], cfg, bound, top)
         upper = max(upper, report.optimum + report.dual_residual)
+        steps += report.iterations
         if best is None or report.optimum > best[2].optimum:
             best = (i, y, report)
     if best is None:
-        i, d = order[0], blocks[order[0]].dim_a * blocks[order[0]].dim_b
+        i, d = order[0][1], len(blocks[order[0][1]].objective)
         value = float(np.real(np.trace(blocks[i].objective))) / d
         best = (i, np.eye(d) / d, SolverReport(value, 0.0, 0.0, 1.0 / d, 0, False))
     i, y, report = best
     x_blocks = [y / b.mult if j == i else np.zeros_like(b.objective) for j, b in enumerate(blocks)]
-    return x_blocks, replace(report, dual_residual=upper - report.optimum)
+    return x_blocks, replace(report, dual_residual=upper - report.optimum, iterations=steps)
+
+
+def _blocks_by_top(blocks: list[_Block]) -> list[tuple[float, int]]:
+    """``(lambda_max(M_b), b)`` per block in descending ``lambda_max``, ties in block order."""
+    tops = [float(np.linalg.eigvalsh(blk.objective)[-1]) for blk in blocks]
+    return sorted(zip(tops, range(len(blocks))), key=lambda pair: -pair[0])
 
 
 @lru_cache(maxsize=16)
@@ -706,8 +708,7 @@ def _front_permutation(part: tuple[int, ...], num_qubits: int):
 
 
 def _objective_blocks(m: DenseOperator, part: tuple[int, ...], pi: bool):
-    """The embeddings ``(dim_a, dim_b, V)`` of :func:`max_ppt` and ``m``'s blocks on them;
-    one dense block unless ``pi`` (``m`` is permutation invariant)."""
+    """The embeddings ``(dim_a, dim_b, V)`` of :func:`max_ppt`, ``m``'s blocks (one unless pi)."""
     n = m.num_qubits
     k = len(part)
     if pi:
@@ -734,18 +735,16 @@ def max_ppt(
     ``(2 j_A + 1)(2 j_B + 1)`` and multiplicity the product of the spin
     multiplicities, and the partial transpose maps each block to itself.
     Any part of a given size then gives the same value.  The maximum is the
-    best block's alone: blocks are solved in descending ``lambda_max(M_b)``,
-    ties in block order, a block whose ``lambda_max`` is below the best value
-    so far (or ``floor``) is skipped with every later one, and the first block
-    of the greatest value wins (see :func:`_ppt_blocks`).  Other objectives
-    are one dense block, refused above 5 qubits.  The returned ``rho`` is the
-    dense state on the original qubit order, and ``value + dual_residual``
-    is a certified upper bound.
+    best block's: blocks are solved in descending ``lambda_max(M_b)``, ties
+    in block order, until one is below the best so far (or ``floor``), and
+    the first of the greatest value wins (:func:`_ppt_blocks`).  Other
+    objectives are one dense block, refused above 5 qubits.  ``rho`` is on
+    the original qubit order; ``value + dual_residual`` is an upper bound.
 
-    A finite ``floor`` lets blocks be skipped, or a solve stop early once a
-    dual bound shows the maximum is below ``floor``: the result is then a
-    feasible state with value below ``floor`` and ``converged=False``.  A
-    result with value at least ``floor`` is, bit for bit, the one without.
+    A finite ``floor`` lets blocks be skipped, or a solve stop once a dual
+    bound is below ``floor``: the result is then a feasible state below
+    ``floor``, unconverged.  One at least ``floor`` is, bit for bit, the one
+    without, but for fewer ``iterations``.
     """
     cfg = config or SolverConfig()
     m, n = problem.objective, problem.objective.num_qubits
@@ -781,23 +780,25 @@ def max_ppt_all(
 
     States that mix over bipartitions cannot exceed the best single
     bipartition for a linear objective, so the scan over bipartitions is
-    exact, and the winning bipartition's certified gap is the scan's.  Ties
-    are resolved to the first bipartition in scan order
+    exact.  Ties are resolved to the first bipartition in scan order
     (ascending part size, lexicographic within a size): a later one must
     be strictly greater.  So each later bipartition gets the running best
     value as its ``floor`` and stops as soon as its dual bound falls below
-    it; a bipartition stopped this way could not have won, and the one
-    returned is solved exactly as it would be alone.
+    it; a bipartition stopped this way could not have won.  The winner's
+    report comes with ``dual_residual`` raised to the greatest ``value +
+    dual_residual`` of any bipartition, minus ``value``: an upper bound on all.
     """
     cfg = config or SolverConfig()
     best: PptScanResult | None = None
+    upper = -math.inf
     for part in _bipartitions(objective.num_qubits, is_permutation_invariant(objective)):
         floor = -math.inf if best is None else best.value
         result = max_ppt(PptProblem(objective, part), cfg, floor=floor)
+        upper = max(upper, result.value + result.report.dual_residual)
         if best is None or result.value > best.value:
             best = PptScanResult(result.value, part, result.rho, result.report)
     assert best is not None
-    return best
+    return best._replace(report=replace(best.report, dual_residual=upper - best.value))
 
 
 def _ppt_constant(objective: DenseOperator, config: SolverConfig | None = None) -> float:
@@ -837,9 +838,7 @@ def max_bisep_seesaw(
     return _seesaw(m.mat, 2 ** len(part), 2 ** (n - len(part)), restarts, tol, rng)
 
 
-def _seesaw(
-    mat: np.ndarray, dim_a: int, dim_b: int, restarts: int, tol: float, rng: np.random.Generator
-) -> float:
+def _seesaw(mat: np.ndarray, dim_a: int, dim_b: int, restarts: int, tol: float, rng) -> float:
     """Best ``<a(x)b| mat |a(x)b>`` over ``dim_a`` x ``dim_b`` product states found by
     alternating eigenvector updates from ``restarts`` random starts of ``b``, all batched."""
     # reshuffle[(j, l), (i, k)] = M[(i, j), (k, l)], so each partial contraction is a matmul
@@ -879,11 +878,10 @@ def max_bisep_all(
 
     Mixtures of biseparable states cannot exceed the best pure product state
     for a linear objective, so this lower-bounds the biseparable maximum and
-    is tight when the seesaw finds the global optimum for each split.  A
-    permutation-invariant objective on at most ``PPT_MAX_QUBITS`` qubits is
-    searched per ``(j_A, j_B)`` block of :func:`max_ppt` (the value is bilinear
-    in the parts' reduced block states), in descending ``lambda_max`` while
-    above the best so far; a block with ``dim_a`` or ``dim_b`` 1 is its ``lambda_max``.
+    is tight when the seesaw finds the global optimum for each split.  A PI
+    objective is searched per ``(j_A, j_B)`` block of :func:`max_ppt` (the value is
+    bilinear in the parts' reduced block states) in :func:`_blocks_by_top` order
+    while above the best so far; a block with a 1-dimensional factor is its ``lambda_max``.
     """
     cfg = config or SolverConfig()
     restarts = cfg.seesaw_restarts if restarts is None else restarts
@@ -893,15 +891,15 @@ def max_bisep_all(
     pi = is_permutation_invariant(objective)
     for index, part in enumerate(_bipartitions(objective.num_qubits, pi)):
         rng = np.random.default_rng(cfg.seed + index)
-        if not pi or objective.num_qubits > PPT_MAX_QUBITS:  # bounds the cached embeddings
+        if not pi:
             value = max_bisep_seesaw(objective, part, restarts, tol, cfg, rng)
         else:
             _, blocks = _objective_blocks(objective, part, pi)
-            tops = [float(np.linalg.eigvalsh(b.objective)[-1]) for b in blocks]
             value = -math.inf
-            for top, blk in sorted(zip(tops, blocks), key=lambda pair: -pair[0]):
+            for top, i in _blocks_by_top(blocks):
                 if top <= max(value, best_value):
                     break
+                blk = blocks[i]
                 value = max(value, top if min(blk.dim_a, blk.dim_b) == 1 else
                             _seesaw(blk.objective, blk.dim_a, blk.dim_b, restarts, tol, rng))
         if value > best_value:

@@ -170,13 +170,32 @@ def test_pruned_scan_matches_exhaustive_scan(objective):
     from symwit.optimize import _bipartitions
     from symwit.symmetric import is_permutation_invariant
 
-    best = None
+    best, upper = None, -math.inf
     for part in _bipartitions(objective.num_qubits, is_permutation_invariant(objective)):
         result = max_ppt(PptProblem(objective, part))
+        upper = max(upper, result.value + result.report.dual_residual)
         if best is None or result.value > best[0]:
             best = (result.value, part, result.rho.mat.tobytes(), result.report)
     got = max_ppt_all(objective)
-    assert (got.value, got.bipartition, got.rho.mat.tobytes(), got.report) == best
+    assert (got.value, got.bipartition, got.rho.mat.tobytes()) == best[:3]
+    # the scan's gap covers every bipartition; a floor only saves Newton steps
+    report = dataclasses.replace(best[3], dual_residual=upper - best[0])
+    assert got.report == dataclasses.replace(report, iterations=got.report.iterations)
+    assert got.report.iterations <= report.iterations
+
+
+def test_scan_gap_covers_every_bipartition():
+    # a blend on which part size 2 beats size 1 by 2e-8, while size 1 alone
+    # ends with a larger gap: its value + gap exceeds the winner's own
+    t = 0.5613944
+    objective = (1 - t) * penalty_objective(4, 1, 0.0) + t * random_pi_objective(
+        4, np.random.default_rng(17))
+    scan = max_ppt_all(objective)
+    assert scan.bipartition == (1, 2) and scan.report.converged
+    for part in ((1,), (1, 2)):
+        alone = max_ppt(PptProblem(objective, part))
+        assert alone.value + alone.report.dual_residual <= \
+            scan.value + scan.report.dual_residual + 1e-12  # one rounding of upper - value
 
 
 def test_floor_stops_a_losing_bipartition():
@@ -209,7 +228,11 @@ PPT_THRESHOLD_GRID = [(4, 1, round(0.2 * k, 1)) for k in range(15)] + [(4, 1, 1.
 
 
 def _exhaustive_block_ppt(objective: DenseOperator, part: tuple[int, ...]):
-    """max_ppt with every block solved alone, no skip and no floor: (value, rho bytes, report)."""
+    """max_ppt with every block solved alone, no skip and no floor.
+
+    Returns (value, rho bytes, report, the winning block's Newton steps); the
+    report's ``iterations`` sums the steps of every block.
+    """
     from symwit.optimize import _front_permutation, _herm, _objective_blocks, _ppt_blocks
     from symwit.symmetric import lift, permute_qubits
 
@@ -222,10 +245,12 @@ def _exhaustive_block_ppt(objective: DenseOperator, part: tuple[int, ...]):
             win = i
     (x_blocks, report), iso = solves[win], embeddings[win][2]
     upper = max(r.optimum + r.dual_residual for _, r in solves)
-    report = dataclasses.replace(report, dual_residual=upper - report.optimum)
+    steps = sum(r.iterations for _, r in solves)
+    winner_steps = report.iterations
+    report = dataclasses.replace(report, dual_residual=upper - report.optimum, iterations=steps)
     rho = DenseOperator(_herm(lift([(iso, x_blocks[0])])))
     rho = permute_qubits(rho, _front_permutation(part, objective.num_qubits)[1])
-    return report.optimum, rho.mat.tobytes(), report
+    return report.optimum, rho.mat.tobytes(), report, winner_steps
 
 
 @pytest.mark.parametrize("objective", [
@@ -238,8 +263,11 @@ def test_block_scan_matches_exhaustive_block_solves(objective):
 
     for part in _bipartitions(objective.num_qubits, True):
         got = max_ppt(PptProblem(objective, part))
-        assert (got.value, got.rho.mat.tobytes(), got.report) == \
-            _exhaustive_block_ppt(objective, part)
+        value, rho, report, winner_steps = _exhaustive_block_ppt(objective, part)
+        assert (got.value, got.rho.mat.tobytes()) == (value, rho)
+        # skipped blocks and blocks stopped early take fewer steps than alone
+        assert got.report == dataclasses.replace(report, iterations=got.report.iterations)
+        assert winner_steps <= got.report.iterations <= report.iterations
 
 
 @pytest.mark.parametrize("key", PPT_THRESHOLD_GRID + [(6, 3, 0.0), (8, 4, 0.0)], ids=str)
