@@ -12,7 +12,8 @@ exactly when each spin-``j`` block of it does (at N=8 the largest is
 partial transpose across a given bipartition stays positive, with a
 certified duality gap; for a permutation-invariant objective the maximum
 is that of the best block per pair of part spins ``(j_A, j_B)`` (see
-:func:`max_ppt`), so at N=6 the largest solve is 16-square, not 64-square.
+:func:`max_ppt`), so at N=6 the largest solve is 16-square, not 64-square,
+and a block that conserves ``J_z^A + J_z^B`` is solved in its charge sectors.
 ``max_bisep_seesaw`` and ``max_symmetric_product`` provide matching
 product-state lower bounds by batched alternating eigenvector updates (per
 spin block if permutation invariant) and a Bloch-sphere grid search.
@@ -34,6 +35,7 @@ from .linalg import (
     schmidt_max_sq,
 )
 from .symmetric import (
+    _hamming_weights,
     compress,
     dicke,
     is_permutation_invariant,
@@ -527,12 +529,15 @@ class BisepResult(NamedTuple):
 
 class _Block(NamedTuple):
     """A diagonal block ``X_b`` of the state, repeated ``mult`` times, and the
-    objective's block ``M_b``; the partial transpose acts on the ``dim_a`` factor."""
+    objective's block ``M_b``; the partial transpose acts on the ``dim_a`` factor.
+    ``charge`` is the diagonal of ``J_z^A (x) 1 + 1 (x) J_z^B`` in the block's
+    basis (``None``: not known, so no charge sectors; see :func:`_ppt_block`)."""
 
     dim_a: int
     dim_b: int
     mult: int
     objective: np.ndarray
+    charge: np.ndarray | None = None
 
 
 @lru_cache(maxsize=64)
@@ -613,18 +618,42 @@ def _dual_bound(blocks: list[_Block], p_mats, q_mats) -> float:
     return bound
 
 
+def _charge_sectors(blk: _Block, real: bool) -> np.ndarray:
+    """Which :func:`_hermitian_basis` elements of a block join equal charges.
+
+    All of them unless ``blk.charge`` is known and ``M_b`` conserves it, to
+    rounding: no entry of ``M_b`` joining unequal charges above
+    ``1e-12 max |M_b|``.
+    """
+    d = blk.dim_a * blk.dim_b
+    rows, cols = np.triu_indices(d, 1)
+    same = np.ones(len(rows), dtype=bool)
+    if blk.charge is not None:
+        joins = blk.charge[rows] == blk.charge[cols]
+        scale = np.max(np.abs(blk.objective), initial=0.0)
+        if np.max(np.abs(blk.objective[rows, cols][~joins]), initial=0.0) <= 1e-12 * scale:
+            same = joins
+    return np.concatenate([np.ones(d, dtype=bool), same] + ([] if real else [same]))
+
+
 def _ppt_block(blk: _Block, cfg: SolverConfig, floor: float, top: float):
     """``(Y, report)`` maximizing ``Tr(M_b Y)``, ``Tr Y = 1``, ``Y, Y^T_A > 0``, from ``Y = 1 / d``.
 
-    ``dual_residual`` is the least of ``top`` and the :func:`_dual_bound` at
+    ``Y`` spans only the basis elements of :func:`_charge_sectors`: when
+    ``M_b`` commutes with the charge ``C = J_z^A + J_z^B``, twirling ``Y``
+    by the local unitaries ``exp(i t C)`` keeps both constraints and the
+    value, so an optimum (and the whole central path, the barrier being
+    strictly concave) commutes with ``C``.  ``dual_residual`` is the least
+    of ``top`` and the :func:`_dual_bound` (with the full ``M_b``) at
     ``mu Y^-1``, ``mu (Y^T_A)^-1`` of each level's end point and of the returned one
     (``mu = barrier_tol``), minus the value; below ``floor - 1e-9 (1 + |floor|)`` it stops.
     """
     real = not np.any(np.imag(blk.objective))
     m_b = np.real(blk.objective) if real else blk.objective
     d = blk.dim_a * blk.dim_b
-    unit = _herm_coords(np.eye(d, dtype=m_b.dtype)[None])[0]
-    lmis = [_Lmi(np.ones(d), slice(0, len(unit)), flat, d)  # Y, then Y^T_A
+    keep = _charge_sectors(blk, real)
+    unit = _herm_coords(np.eye(d, dtype=m_b.dtype)[None])[0][keep]
+    lmis = [_Lmi(np.ones(d), slice(0, len(unit)), flat[keep], d)  # Y, then Y^T_A
             for flat in _block_basis(blk.dim_a, blk.dim_b, real)]
     cutoff = floor - 1e-9 * (1.0 + abs(floor))
     least = top
@@ -635,7 +664,8 @@ def _ppt_block(blk: _Block, cfg: SolverConfig, floor: float, top: float):
         least = min(least, _dual_bound([blk], [p_b], [q_b]))
         return least < cutoff
 
-    x, report = _barrier_maximize(_herm_coords(m_b[None])[0], unit, lmis, unit / d, cfg, certify)
+    x, report = _barrier_maximize(_herm_coords(m_b[None])[0][keep], unit, lmis, unit / d, cfg,
+                                  certify)
     certify(x, cfg.barrier_tol)
     return lmis[0].matrix(x), replace(report, dual_residual=least - report.optimum)
 
@@ -647,11 +677,12 @@ def _ppt_blocks(
 
     With ``t_b = mult_b Tr X_b`` and ``Y_b = X_b / Tr X_b`` the objective is
     ``sum_b t_b Tr(M_b Y_b)``, so the maximum is the best block's own
-    (:func:`_ppt_block`), returned as ``X_b = Y_b / mult_b``, other blocks 0.
-    Blocks are solved in :func:`_blocks_by_top` order with floor ``bound =
-    max(floor, best so far)`` until ``lambda_max(M_b) < bound - 1e-12 (1 + |bound|)``.
+    (:func:`_ppt_block`, in its charge sectors), returned as ``X_b = Y_b /
+    mult_b``, other blocks 0.  Blocks are solved in :func:`_blocks_by_top`
+    order with floor ``bound = max(floor, best so far)`` until the block's
+    ``top_b = min(lambda_max(M_b), lambda_max(M_b^T_A)) < bound - 1e-12 (1 + |bound|)``.
     The first of the greatest value wins, with the greatest bound of any block
-    (``lambda_max`` if skipped) and the Newton steps of all; if all are
+    (``top_b`` if skipped) and the Newton steps of all; if all are
     skipped, it is the top block's ``Y = 1 / d`` after 0 iterations.
     """
     order = _blocks_by_top(blocks)
@@ -677,8 +708,20 @@ def _ppt_blocks(
 
 
 def _blocks_by_top(blocks: list[_Block]) -> list[tuple[float, int]]:
-    """``(lambda_max(M_b), b)`` per block in descending ``lambda_max``, ties in block order."""
-    tops = [float(np.linalg.eigvalsh(blk.objective)[-1]) for blk in blocks]
+    """``(top_b, b)`` per block in descending ``top_b``, ties in block order.
+
+    ``top_b = min(lambda_max(M_b), lambda_max(M_b^T_A))`` bounds ``Tr(M_b Y)``
+    over PPT (so also product) states ``Y``: ``Tr(M Y) = Tr(M^T_A Y^T_A)``
+    with ``Y^T_A >= 0`` of unit trace.  With a 1-dimensional factor
+    ``M_b^T_A`` is ``M_b`` or its transpose, and ``top_b = lambda_max(M_b)``.
+    """
+    tops = []
+    for blk in blocks:
+        top = float(np.linalg.eigvalsh(blk.objective)[-1])
+        if min(blk.dim_a, blk.dim_b) > 1:
+            m_pt = _batched_pt_front(blk.objective[None], blk.dim_a)[0]
+            top = min(top, float(np.linalg.eigvalsh(m_pt)[-1]))
+        tops.append(top)
     return sorted(zip(tops, range(len(blocks))), key=lambda pair: -pair[0])
 
 
@@ -711,14 +754,18 @@ def _objective_blocks(m: DenseOperator, part: tuple[int, ...], pi: bool):
     """The embeddings ``(dim_a, dim_b, V)`` of :func:`max_ppt`, ``m``'s blocks (one unless pi)."""
     n = m.num_qubits
     k = len(part)
-    if pi:
+    if pi:  # J_z = m = j - i on spin state i of each factor
         embeddings = _spin_embeddings(n, k)
         m_mat = m.mat
-    else:
+        spin_m = [((d_a - 1) / 2 - np.arange(d_a), (d_b - 1) / 2 - np.arange(d_b))
+                  for d_a, d_b, _ in embeddings]
+    else:  # J_z = size / 2 - Hamming weight on each part
         embeddings = ((2**k, 2 ** (n - k), np.eye(2**n)[:, None, :]),)
         m_mat = permute_qubits(m, _front_permutation(part, n)[0]).mat
-    blocks = [_Block(dim_a, dim_b, iso.shape[1], _herm(compress(m_mat, iso)))
-              for dim_a, dim_b, iso in embeddings]
+        spin_m = [(k / 2 - _hamming_weights(k), (n - k) / 2 - _hamming_weights(n - k))]
+    blocks = [_Block(dim_a, dim_b, iso.shape[1], _herm(compress(m_mat, iso)),
+                     np.add.outer(m_a, m_b).ravel())
+              for (dim_a, dim_b, iso), (m_a, m_b) in zip(embeddings, spin_m)]
     return embeddings, blocks
 
 
@@ -735,11 +782,15 @@ def max_ppt(
     ``(2 j_A + 1)(2 j_B + 1)`` and multiplicity the product of the spin
     multiplicities, and the partial transpose maps each block to itself.
     Any part of a given size then gives the same value.  The maximum is the
-    best block's: blocks are solved in descending ``lambda_max(M_b)``, ties
-    in block order, until one is below the best so far (or ``floor``), and
-    the first of the greatest value wins (:func:`_ppt_blocks`).  Other
-    objectives are one dense block, refused above 5 qubits.  ``rho`` is on
-    the original qubit order; ``value + dual_residual`` is an upper bound.
+    best block's: blocks are solved in descending ``min(lambda_max(M_b),
+    lambda_max(M_b^T_A))``, a bound on the block's PPT value, ties in block
+    order, until one is below the best so far (or ``floor``), and the first
+    of the greatest value wins (:func:`_ppt_blocks`).  Other objectives are
+    one dense block, refused above 5 qubits.  A block whose ``M_b`` conserves
+    ``J_z^A + J_z^B`` (``m = j - i`` on spin state ``i``, or each part's size
+    / 2 minus its Hamming weight in the dense block) is solved over its
+    charge sectors only (:func:`_ppt_block`).  ``rho`` is on the original
+    qubit order; ``value + dual_residual`` is an upper bound.
 
     A finite ``floor`` lets blocks be skipped, or a solve stop once a dual
     bound is below ``floor``: the result is then a feasible state below
@@ -802,11 +853,12 @@ def max_ppt_all(
 
 
 def _ppt_constant(objective: DenseOperator, config: SolverConfig | None = None) -> float:
-    """``max_ppt_all(objective).value`` as a witness constant; refused unless converged."""
+    """The certified upper bound ``value + dual_residual`` of :func:`max_ppt_all` as a
+    witness constant (the primal value is a lower bound); refused unless converged."""
     result = max_ppt_all(objective, config)
     if not result.report.converged:
         raise OptimizationError("PPT interior-point solver did not converge")
-    return result.value
+    return result.value + result.report.dual_residual
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +933,9 @@ def max_bisep_all(
     is tight when the seesaw finds the global optimum for each split.  A PI
     objective is searched per ``(j_A, j_B)`` block of :func:`max_ppt` (the value is
     bilinear in the parts' reduced block states) in :func:`_blocks_by_top` order
-    while above the best so far; a block with a 1-dimensional factor is its ``lambda_max``.
+    while the block's bound ``min(lambda_max(M_b), lambda_max(M_b^T_A))``, which no
+    product state exceeds, is above the best so far; a block with a 1-dimensional
+    factor is its ``lambda_max``.
     """
     cfg = config or SolverConfig()
     restarts = cfg.seesaw_restarts if restarts is None else restarts
@@ -985,9 +1039,10 @@ def q_scan(
     """Scan the penalty strength q of the witness family
     ``c_q - (J_x^2 + J_y^2 - q (J_z - <J_z>)^2)`` for a Dicke target.
 
-    For each q the constant ``c_q`` is the PPT maximum of the bracketed
-    operator over all bipartitions, and the white-noise tolerance of the
-    resulting witness is recorded.
+    For each q the constant ``c_q`` is the certified upper bound on the PPT
+    maximum of the bracketed operator over all bipartitions (see
+    :func:`max_ppt_all`), and the white-noise tolerance of the resulting
+    witness is recorded.
     """
     if num_qubits > PPT_MAX_QUBITS:
         raise ValueError(f"PPT maximization is limited to {PPT_MAX_QUBITS} qubits")

@@ -440,7 +440,7 @@ def _wp3_d105() -> WitnessSpec:
 
 def _wi3_d41(q: float) -> WitnessSpec:
     if abs(q - 1.47) < 1e-12:
-        c = 4.1234
+        c = 4.1235  # the published 4.1234 sits below the PPT maximum 4.12341941; rounded up
     else:
         from .optimize import _ppt_constant  # deferred to avoid an import cycle
 
@@ -462,7 +462,8 @@ _BUILDERS = {
     # No alpha certificate exists for WI3_W5 or WI3_W6: over alpha in (0, 10]
     # the best slack min-eig(W - alpha W_P) is -0.83 (near alpha = 0.22) and
     # -0.87 (near alpha = 0.13).
-    "WI3_W5": lambda: wi3_witness(5, 1, 5.6242, 2.22, name="WI3_W5"),
+    # WI3_W5's published 5.6242 sits below its PPT maximum 5.62424698; rounded up.
+    "WI3_W5": lambda: wi3_witness(5, 1, 5.6243, 2.22, name="WI3_W5"),
     "WI3_W6": lambda: wi3_witness(6, 1, 7.1095, 3.13, name="WI3_W6"),
 }
 
@@ -482,8 +483,9 @@ def catalog(name: str, q: float | None = None) -> WitnessSpec:
     """Named witnesses with the published coefficients.
 
     ``WI3_D41`` accepts the parameter ``q`` (default 1.47, the published
-    optimum, with the published constant 4.1234); for any other ``q`` the
-    constant is recomputed from the PPT relaxation.
+    optimum, with the published constant 4.1234 rounded up to 4.1235); for
+    any other ``q`` the constant is the certified upper bound of the PPT
+    relaxation.
     """
     key = name.strip().upper().replace("-", "_")
     if key not in _BUILDERS and key != "WI3_D41":

@@ -302,6 +302,67 @@ def test_product_search_without_symmetry_is_the_dense_seesaw():
     assert max_bisep_all(objective).value == _dense_bisep_all(objective)
 
 
+def test_objective_without_a_conserved_charge_keeps_the_full_basis():
+    from symwit.optimize import _charge_sectors, _objective_blocks, _ppt_blocks
+
+    m = penalty_objective(4, 1, 0.0) + 0.3 * collective_j(4, "x")
+    for part in ((1,), (1, 2)):
+        _, blocks = _objective_blocks(m, part, True)
+        assert all(_charge_sectors(b, not np.any(np.imag(b.objective))).all() for b in blocks)
+        unknown = _ppt_blocks([b._replace(charge=None) for b in blocks], SolverConfig())[1]
+        assert max_ppt(PptProblem(m, part)).report == unknown
+    result = max_ppt_all(m)
+    assert result.bipartition == (1,) and result.report.converged
+    assert abs(result.value - 5.797498421543819) <= 1e-12  # the full-basis solve's value
+
+
+@pytest.mark.parametrize("objective", [penalty_objective(*key) for key in PPT_THRESHOLD_GRID] + [
+    random_pi_objective(4, np.random.default_rng(3)),
+    random_pi_objective(5, np.random.default_rng(5)),
+], ids=[str(key) for key in PPT_THRESHOLD_GRID] + ["random-4", "random-5"])
+def test_no_block_value_exceeds_the_partial_transpose_bound(objective):
+    # Tr(M Y) = Tr(M^T_A Y^T_A) <= lambda_max(M^T_A) for PPT and product Y
+    from symwit.optimize import (_batched_pt_front, _blocks_by_top, _objective_blocks,
+                                 _ppt_blocks, _seesaw)
+
+    for part in ((1,), (1, 2)):
+        _, blocks = _objective_blocks(objective, part, True)
+        tops = {i: top for top, i in _blocks_by_top(blocks)}
+        for i, b in enumerate(blocks):
+            m_pt = _batched_pt_front(b.objective[None], b.dim_a)[0]
+            bound = min(np.linalg.eigvalsh(b.objective)[-1], np.linalg.eigvalsh(m_pt)[-1])
+            assert abs(tops[i] - bound) <= 1e-12 * (1 + abs(bound))
+            assert _ppt_blocks([b], SolverConfig())[1].optimum <= bound + 1e-12
+            if min(b.dim_a, b.dim_b) > 1:
+                rng = np.random.default_rng(i)
+                assert _seesaw(b.objective, b.dim_a, b.dim_b, 10, 1e-12, rng) <= bound + 1e-12
+
+
+def test_partial_transpose_bound_skips_the_losing_two_qubit_block(monkeypatch):
+    # the part-size-2 (j_A, j_B) = (1, 1) block never wins on the ppt_threshold
+    # grid; from q = 1.4 on its bound lambda_max(M_b^T_A) rules out both its
+    # PPT solve and its seesaw
+    import symwit.optimize as opt
+
+    counts = {"ppt": 0, "seesaw": 0}
+    solve, seesaw = opt._ppt_block, opt._seesaw
+
+    def counted_solve(blk, *args):
+        counts["ppt"] += (blk.dim_a, blk.dim_b) == (3, 3)
+        return solve(blk, *args)
+
+    def counted_seesaw(mat, dim_a, dim_b, *args):
+        counts["seesaw"] += (dim_a, dim_b) == (3, 3)
+        return seesaw(mat, dim_a, dim_b, *args)
+
+    monkeypatch.setattr(opt, "_ppt_block", counted_solve)
+    monkeypatch.setattr(opt, "_seesaw", counted_seesaw)
+    for key in PPT_THRESHOLD_GRID:
+        max_ppt_all(penalty_objective(*key))
+        max_bisep_all(penalty_objective(*key))
+    assert counts["ppt"] <= 7 and counts["seesaw"] <= 7, counts
+
+
 def test_seesaw_bell_oracle_and_restart_prefix_monotone():
     m = bell_projector()
     v50 = max_bisep_seesaw(m, (1,), restarts=50)
@@ -612,5 +673,15 @@ def test_q_scan_small_grid_consistency():
     target = dicke(3, 1)
     jz0 = float(np.real(jz.expectation(target)))
     m = jx2 + jy2 - 0.5 * op_power(jz - jz0 * identity(3), 2)
-    direct = max_ppt_all(m).value
-    assert abs(rows[0, 1] - direct) < 1e-9
+    direct = max_ppt_all(m)
+    assert abs(rows[0, 1] - (direct.value + direct.report.dual_residual)) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["WI2_D63", "WI2_D5", "WI3_D41", "WI3_W5", "WI3_W6"])
+def test_catalog_constant_is_a_certified_ppt_bound(name):
+    # W = c - M reads >= 0 on every PPT state, so on every biseparable one
+    spec = catalog(name)
+    c = spec.coefficients[0]
+    ppt = max_ppt_all(c * identity(spec.num_qubits) - spec.dense)
+    assert ppt.report.converged
+    assert c >= ppt.value + ppt.report.dual_residual

@@ -327,3 +327,33 @@ def test_block_diagonal_lmi_matches_separate_lmis(blocks, real, seed):
     assert reports[0].dual_residual == reports[1].dual_residual
     want = max(float(np.linalg.eigvalsh(m)[-1]) for m in objectives)
     assert -1e-9 <= want - reports[1].optimum <= reports[1].dual_residual + 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(st.booleans(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_charge_sector_solve_matches_the_full_basis(pi, extra, seed):
+    # J_z-conserving objectives: PI ones from collective terms at N = 3-6, and
+    # complex non-PI ones at N = 3-4 whose entries join equal Hamming weights
+    rng = np.random.default_rng(seed)
+    n = 3 + (extra if pi else extra % 2)
+    jz = collective_j(n, "z")
+    if pi:
+        jxy = op_power(collective_j(n, "x"), 2) + op_power(collective_j(n, "y"), 2)
+        terms = [jz, op_power(jz, 2), jxy, op_power(jxy, 2), jz @ jxy + jxy @ jz]
+        objective = sum((float(rng.standard_normal()) * t for t in terms), identity(n) * 0.0)
+    else:
+        weights = np.diag(jz.mat).real
+        raw = _random_hermitian(rng, 2**n) * (weights[:, None] == weights[None, :])
+        objective = DenseOperator(raw)
+    cfg = SolverConfig()
+    parts = _bipartitions(n, pi)
+    part = parts[int(rng.integers(len(parts)))]
+    _, blocks = _objective_blocks(objective.hermitized(), part, pi)
+    sector = _ppt_blocks(blocks, cfg)[1]
+    full = _ppt_blocks([b._replace(charge=None) for b in blocks], cfg)[1]
+    assert sector.converged and full.converged
+    slack = 1e-12 * (1.0 + abs(full.optimum))
+    assert sector.optimum <= full.optimum + full.dual_residual + slack
+    assert full.optimum <= sector.optimum + sector.dual_residual + slack
+    rho = max_ppt(PptProblem(objective.hermitized(), part)).rho.mat
+    assert np.max(np.abs(rho @ jz.mat - jz.mat @ rho)) <= 1e-12
