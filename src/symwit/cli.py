@@ -254,8 +254,8 @@ def _cmd_ppt_max(args, cfg):
         part = result.bipartition
     if not result.report.converged:
         raise OptimizationError("interior-point solver did not converge")
-    _dump_json(args, {"value": result.value, "bipartition": list(part),
-                      "report": result.report.to_json()})
+    _dump_json(args, {"value": result.value, "upper_bound": result.upper_bound,
+                      "bipartition": list(part), "report": result.report.to_json()})
     return 0
 
 

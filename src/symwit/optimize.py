@@ -2,11 +2,13 @@
 
 One log-barrier interior-point engine, :func:`_barrier_maximize`, solves
 both convex programs, in real Schur–Weyl (total-spin) blocks whenever their
-data is permutation invariant; other data is one dense block.  Its matrix
-inequalities weight the barrier per row, so blocks of different weights
-form one block-diagonal inequality.  ``optimize_witness`` fits witness
-coefficients over a fixed operator basis: ``W - alpha * W_P >= 0`` holds
-exactly when each spin-``j`` block of it does (at N=8 the largest is
+data is permutation invariant; other data is one dense block.  Each solve
+has one matrix inequality, a stack of equal-size diagonal blocks (``Y`` and
+``Y^T_A`` for a PPT block) inverted and factored in one batched call, and
+it weights the barrier per row, so blocks of different weights form one
+block-diagonal inequality (the witness fit's).  ``optimize_witness`` fits
+witness coefficients over a fixed operator basis: ``W - alpha * W_P >= 0``
+holds exactly when each spin-``j`` block of it does (at N=8 the largest is
 9-square instead of 256-square), and the fit is one such inequality.
 ``max_ppt`` maximizes a Hermitian objective over density matrices whose
 partial transpose across a given bipartition stays positive, with a
@@ -16,7 +18,8 @@ is that of the best block per pair of part spins ``(j_A, j_B)`` (see
 and a block that conserves ``J_z^A + J_z^B`` is solved in its charge sectors.
 ``max_bisep_seesaw`` and ``max_symmetric_product`` provide matching
 product-state lower bounds by batched alternating eigenvector updates (per
-spin block if permutation invariant) and a Bloch-sphere grid search.
+spin block if permutation invariant), extrapolated where they converge
+slowly, and a Bloch-sphere grid search.
 """
 
 from __future__ import annotations
@@ -150,36 +153,43 @@ def _herm(mat: np.ndarray) -> np.ndarray:
 
 
 class _Lmi(NamedTuple):
-    """``sum_i x[cols][i] F_i > 0``, the flattened ``dim``-square ``F_i`` as rows of ``flat``;
-    ``weight[k]`` is row ``k``'s barrier weight, constant on each diagonal block of the ``F_i``."""
+    """``sum_i x[i] F_i > 0`` for ``F_i`` made of ``k`` equal-size, ``d``-square diagonal blocks.
+
+    Row ``i`` of ``flat``, shape ``(len(x), k * d^2)``, holds the blocks of
+    ``F_i`` flattened one after the other; ``weight[b, r]``, shape ``(k, d)``,
+    is the barrier weight of row ``r`` of block ``b``, constant on each
+    diagonal sub-block of the ``F_i``.
+    """
 
     weight: np.ndarray
-    cols: slice
     flat: np.ndarray
-    dim: int
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        return (x[self.cols] @ self.flat).reshape(self.dim, self.dim)
+        """The ``(k, d, d)`` stack of blocks at ``x``."""
+        k, d = self.weight.shape
+        return (x @ self.flat).reshape(k, d, d)
 
 
 def _barrier_maximize(
     m_vec: np.ndarray,
     a_vec: np.ndarray,
-    lmis: list[_Lmi],
+    lmi: _Lmi,
     x: np.ndarray,
     cfg: SolverConfig,
     stop=None,
 ) -> tuple[np.ndarray, SolverReport]:
-    """Log-barrier interior point: maximize ``m . x`` over ``a . x = 1`` and the LMIs.
+    """Log-barrier interior point: maximize ``m . x`` over ``a . x = 1`` and the LMI.
 
     Starts from the strictly feasible ``x`` and follows mu = 1, 0.1, ...
     down to ``cfg.barrier_tol`` with damped Newton steps on
-    ``-m . x / mu - sum_k w_k log L_kk^2`` (``L`` the Cholesky factor of an
-    LMI, ``w`` its row weights): its Hessian is ``Tr(F_a D_w P F_b P)``, ``P``
-    the LMI's inverse, and on the central path the duality gap is
-    ``mu * sum(w)``.  Every LMI is homogeneous in ``x``,
-    so the final rescaling to ``a . x = 1`` keeps the point feasible.
-    ``stop(x, mu)``, when given, is asked after each level above
+    ``-m . x / mu - sum_k w_k log L_kk^2`` (``L`` the Cholesky factors of
+    the LMI's blocks, ``w`` their row weights): its Hessian is
+    ``Tr(F_a D_w P F_b P)``, ``P`` the inverse, summed over the blocks, and
+    on the central path the duality gap is ``mu * sum(w)``.  Each Newton
+    step inverts the stack of blocks in one batched call, and each trial
+    point of its line search factors them in one.  The LMI is homogeneous
+    in ``x``, so the final rescaling to ``a . x = 1`` keeps the point
+    feasible.  ``stop(x, mu)``, when given, is asked after each level above
     ``cfg.barrier_tol``, with the level's end point and its ``mu``, and ends
     the path when true; it must not modify ``x``.  The report's
     ``converged`` is false when a level ends off the central path or
@@ -187,17 +197,16 @@ def _barrier_maximize(
     the report.
     """
     nb = len(x)
-    conj = [lmi.flat.conj() for lmi in lmis]
+    flat_conj = lmi.flat.conj()
+    blocks = lmi.flat.reshape(nb, *lmi.weight.shape, -1)
 
     def barrier(vec: np.ndarray) -> float | None:
-        total = 0.0
-        for lmi in lmis:
-            try:
-                chol = np.linalg.cholesky(lmi.matrix(vec))
-            except np.linalg.LinAlgError:
-                return None
-            total -= 2.0 * float(np.sum(lmi.weight * np.log(np.real(np.diag(chol)))))
-        return total
+        try:
+            chol = np.linalg.cholesky(lmi.matrix(vec))
+        except np.linalg.LinAlgError:
+            return None
+        diag = np.real(np.diagonal(chol, axis1=-2, axis2=-1))
+        return -2.0 * float(np.sum(lmi.weight * np.log(diag)))
 
     total_newton = 0
     converged = True
@@ -210,14 +219,11 @@ def _barrier_maximize(
             # Hessian bordered by the equality constraint
             kkt = np.zeros((nb + 1, nb + 1))
             kkt[:nb, nb] = kkt[nb, :nb] = a_vec
-            grad = -t * m_vec
-            for lmi, flat_conj in zip(lmis, conj):
-                flat, cols, d = lmi.flat, lmi.cols, lmi.dim
-                prec = np.linalg.inv(lmi.matrix(x))
-                weighted = lmi.weight[:, None] * prec  # = P D_w: w is constant on P's blocks
-                grad[cols] -= np.real(flat_conj @ weighted.ravel())
-                curv = (weighted @ flat.reshape(-1, d, d) @ prec).reshape(len(flat), -1)
-                kkt[cols, cols] += np.real(curv @ flat_conj.T)
+            prec = np.linalg.inv(lmi.matrix(x))
+            weighted = lmi.weight[..., None] * prec  # = P D_w: w is constant on P's blocks
+            grad = -t * m_vec - np.real(flat_conj @ weighted.ravel())
+            curv = (weighted @ blocks @ prec).reshape(nb, -1)
+            kkt[:nb, :nb] += np.real(curv @ flat_conj.T)
             # Near the central path grad is almost parallel to a_vec, with a
             # multiplier of order t, and the Hessian spans ~1/mu^2 in scale.
             # Removing that part of grad (it does not change dx), scaling
@@ -279,8 +285,8 @@ def _barrier_maximize(
     report = SolverReport(
         optimum=float(m_vec @ x),
         primal_residual=float(abs(a_vec @ x - 1.0)),
-        dual_residual=float(sum(lmi.weight.sum() for lmi in lmis) * mu),
-        min_eig_slack=min(float(np.linalg.eigvalsh(lmi.matrix(x))[0]) for lmi in lmis),
+        dual_residual=float(lmi.weight.sum() * mu),
+        min_eig_slack=float(np.min(np.linalg.eigvalsh(lmi.matrix(x))[:, 0])),
         iterations=total_newton,
         converged=converged,
     )
@@ -397,7 +403,7 @@ def optimize_witness(
     the trace bound, all read from the blocks of ``problem.blocks``.  For a
     symmetric target the slack is ``(+)_j S_j (x) 1_mult_j`` in the
     Schur–Weyl basis, ``S_j = W_j - alpha W_P,j``; any other target has one
-    dense block.  The fit is one LMI ``(+)_j S_j (+) (alpha) (+) (trace row)``,
+    dense block.  The fit is a 1-block LMI ``(+)_j S_j (+) (alpha) (+) (trace row)``,
     row weights ``mult_j`` on ``S_j`` (the dense barrier) and 1 on the last
     two, in prefix coordinates of the unit-norm columns of ``z``.  A phase I
     maximizes a margin ``s`` subtracted from it until ``s > 0``.  Raises
@@ -428,12 +434,12 @@ def optimize_witness(
     q, ends = _prefix_coordinates([flat / norms[:, None] for flat in flats])
     q = q / norms[:, None]
     offsets = np.cumsum([0] + [math.isqrt(flat.shape[1]) for flat in flats])
-    slack = np.zeros((ends[-1], offsets[-1], offsets[-1]), dtype=complex)
+    slack = np.zeros((len(q), offsets[-1], offsets[-1]), dtype=complex)
     for flat, end, lo, hi in zip(flats, ends, offsets[:-1], offsets[1:]):
         slack[:end, lo:hi, lo:hi] = (q[:, :end].T @ flat).reshape(end, hi - lo, hi - lo)
-    slack = slack.reshape(ends[-1], -1)
-    lmi = _Lmi(np.repeat(mults + [1.0, 1.0], np.diff(offsets)), slice(0, ends[-1]),
-               slack if np.any(np.imag(slack)) else np.real(slack), int(offsets[-1]))
+    slack = slack.reshape(len(q), -1)
+    lmi = _Lmi(np.repeat(mults + [1.0, 1.0], np.diff(offsets))[None],
+               slack if np.any(np.imag(slack)) else np.real(slack))
     a_u = q.T @ a_vec
 
     infeasible = OptimizationError(
@@ -443,16 +449,16 @@ def optimize_witness(
     if not a_vec.any():
         raise infeasible
     u0 = a_u / (a_u @ a_u)
-    s0 = float(np.linalg.eigvalsh(lmi.matrix(u0))[0]) - 1.0
-    phase_one = lmi._replace(  # the margin s comes first and is subtracted from the LMI
-        cols=slice(0, lmi.cols.stop + 1), flat=np.vstack([-np.eye(lmi.dim).ravel(), lmi.flat]))
+    s0 = float(np.linalg.eigvalsh(lmi.matrix(u0))[0, 0]) - 1.0
+    # the margin s comes first and is subtracted from the LMI
+    phase_one = lmi._replace(flat=np.vstack([-np.eye(offsets[-1]).ravel(), lmi.flat]))
     start, first = _barrier_maximize(
-        np.eye(nb + 2)[0], np.append(0.0, a_u), [phase_one], np.append(s0, u0), cfg,
+        np.eye(nb + 2)[0], np.append(0.0, a_u), phase_one, np.append(s0, u0), cfg,
         stop=lambda x, mu: x[0] > 0,
     )
     if start[0] <= 0:
         raise infeasible
-    u, second = _barrier_maximize(q.T @ np.append(-n_vec, 0.0), a_u, [lmi], start[1:], cfg)
+    u, second = _barrier_maximize(q.T @ np.append(-n_vec, 0.0), a_u, lmi, start[1:], cfg)
     z = q @ u
 
     coeffs, alpha = z[:nb], float(z[nb])
@@ -514,12 +520,20 @@ class PptResult(NamedTuple):
     rho: DenseOperator
     report: SolverReport
 
+    @property
+    def upper_bound(self) -> float:
+        """``value + report.dual_residual``: a certified upper bound on the PPT maximum
+        (``value`` is attained by ``rho``, so it is a lower bound)."""
+        return self.value + self.report.dual_residual
+
 
 class PptScanResult(NamedTuple):
     value: float
     bipartition: tuple[int, ...]
     rho: DenseOperator
     report: SolverReport
+
+    upper_bound = PptResult.upper_bound
 
 
 class BisepResult(NamedTuple):
@@ -541,18 +555,17 @@ class _Block(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _block_basis(dim_a: int, dim_b: int, real: bool):
-    """Flattened orthonormal basis of one block and of its partial transposes.
+def _block_basis(dim_a: int, dim_b: int, real: bool) -> np.ndarray:
+    """An orthonormal basis of one block, each element flattened and followed by its
+    flattened partial transpose: the ``flat`` of the 2-block :class:`_Lmi` ``(Y, Y^T_A)``.
 
     The basis spans the Hermitian matrices, or the real symmetric ones when
     ``real``; coordinates in it are :func:`_herm_coords`.
     """
     elems = _hermitian_basis(dim_a * dim_b, real)
-    flat = elems.reshape(len(elems), -1)
-    pt_flat = _batched_pt_front(elems, dim_a).reshape(len(elems), -1)
+    flat = np.stack([elems, _batched_pt_front(elems, dim_a)], axis=1).reshape(len(elems), -1)
     flat.setflags(write=False)
-    pt_flat.setflags(write=False)
-    return flat, pt_flat
+    return flat
 
 
 def _hermitian_basis(dim: int, real: bool) -> np.ndarray:
@@ -639,13 +652,15 @@ def _charge_sectors(blk: _Block, real: bool) -> np.ndarray:
 def _ppt_block(blk: _Block, cfg: SolverConfig, floor: float, top: float):
     """``(Y, report)`` maximizing ``Tr(M_b Y)``, ``Tr Y = 1``, ``Y, Y^T_A > 0``, from ``Y = 1 / d``.
 
-    ``Y`` spans only the basis elements of :func:`_charge_sectors`: when
-    ``M_b`` commutes with the charge ``C = J_z^A + J_z^B``, twirling ``Y``
-    by the local unitaries ``exp(i t C)`` keeps both constraints and the
-    value, so an optimum (and the whole central path, the barrier being
-    strictly concave) commutes with ``C``.  ``dual_residual`` is the least
-    of ``top`` and the :func:`_dual_bound` (with the full ``M_b``) at
-    ``mu Y^-1``, ``mu (Y^T_A)^-1`` of each level's end point and of the returned one
+    ``Y`` and ``Y^T_A`` are the two blocks of one :class:`_Lmi`, so each
+    Newton step inverts both in one call.  ``Y`` spans only the basis
+    elements of :func:`_charge_sectors`: when ``M_b`` commutes with the
+    charge ``C = J_z^A + J_z^B``, twirling ``Y`` by the local unitaries
+    ``exp(i t C)`` keeps both constraints and the value, so an optimum (and
+    the whole central path, the barrier being strictly concave) commutes
+    with ``C``.  ``dual_residual`` is the least of ``top`` and the
+    :func:`_dual_bound` (with the full ``M_b``) at ``mu Y^-1``,
+    ``mu (Y^T_A)^-1`` of each level's end point and of the returned one
     (``mu = barrier_tol``), minus the value; below ``floor - 1e-9 (1 + |floor|)`` it stops.
     """
     real = not np.any(np.imag(blk.objective))
@@ -653,21 +668,20 @@ def _ppt_block(blk: _Block, cfg: SolverConfig, floor: float, top: float):
     d = blk.dim_a * blk.dim_b
     keep = _charge_sectors(blk, real)
     unit = _herm_coords(np.eye(d, dtype=m_b.dtype)[None])[0][keep]
-    lmis = [_Lmi(np.ones(d), slice(0, len(unit)), flat[keep], d)  # Y, then Y^T_A
-            for flat in _block_basis(blk.dim_a, blk.dim_b, real)]
+    lmi = _Lmi(np.ones((2, d)), _block_basis(blk.dim_a, blk.dim_b, real)[keep])
     cutoff = floor - 1e-9 * (1.0 + abs(floor))
     least = top
 
     def certify(x: np.ndarray, mu: float) -> bool:
         nonlocal least
-        p_b, q_b = (_herm(mu * np.linalg.inv(lmi.matrix(x))) for lmi in lmis)
+        p_b, q_b = (_herm(inv) for inv in mu * np.linalg.inv(lmi.matrix(x)))
         least = min(least, _dual_bound([blk], [p_b], [q_b]))
         return least < cutoff
 
-    x, report = _barrier_maximize(_herm_coords(m_b[None])[0][keep], unit, lmis, unit / d, cfg,
+    x, report = _barrier_maximize(_herm_coords(m_b[None])[0][keep], unit, lmi, unit / d, cfg,
                                   certify)
     certify(x, cfg.barrier_tol)
-    return lmis[0].matrix(x), replace(report, dual_residual=least - report.optimum)
+    return lmi.matrix(x)[0], replace(report, dual_residual=least - report.optimum)
 
 
 def _ppt_blocks(
@@ -790,7 +804,7 @@ def max_ppt(
     ``J_z^A + J_z^B`` (``m = j - i`` on spin state ``i``, or each part's size
     / 2 minus its Hamming weight in the dense block) is solved over its
     charge sectors only (:func:`_ppt_block`).  ``rho`` is on the original
-    qubit order; ``value + dual_residual`` is an upper bound.
+    qubit order; ``upper_bound = value + dual_residual`` is an upper bound.
 
     A finite ``floor`` lets blocks be skipped, or a solve stop once a dual
     bound is below ``floor``: the result is then a feasible state below
@@ -845,7 +859,7 @@ def max_ppt_all(
     for part in _bipartitions(objective.num_qubits, is_permutation_invariant(objective)):
         floor = -math.inf if best is None else best.value
         result = max_ppt(PptProblem(objective, part), cfg, floor=floor)
-        upper = max(upper, result.value + result.report.dual_residual)
+        upper = max(upper, result.upper_bound)
         if best is None or result.value > best.value:
             best = PptScanResult(result.value, part, result.rho, result.report)
     assert best is not None
@@ -853,12 +867,12 @@ def max_ppt_all(
 
 
 def _ppt_constant(objective: DenseOperator, config: SolverConfig | None = None) -> float:
-    """The certified upper bound ``value + dual_residual`` of :func:`max_ppt_all` as a
-    witness constant (the primal value is a lower bound); refused unless converged."""
+    """The certified ``upper_bound`` of :func:`max_ppt_all` as a witness constant
+    (the primal value is a lower bound); refused unless converged."""
     result = max_ppt_all(objective, config)
     if not result.report.converged:
         raise OptimizationError("PPT interior-point solver did not converge")
-    return result.value + result.report.dual_residual
+    return result.upper_bound
 
 
 # ---------------------------------------------------------------------------
@@ -877,8 +891,11 @@ def max_bisep_seesaw(
     """Best product-state value ``max <a(x)b| M |a(x)b>`` across one bipartition.
 
     Alternates exact eigenvector updates of the two factors from random
-    (Haar-uniform) starts; each pass is monotonically nondecreasing, so the
-    final value is a certified lower bound on the biseparable maximum.
+    (Haar-uniform) starts, and every third sweep tries a jump along the
+    linearly converging iterates, kept only if it raises the value (see
+    :func:`_seesaw`).  Each restart's value is nondecreasing and attained
+    by an explicit product state, so the final value is a certified lower
+    bound on the biseparable maximum.
     """
     cfg = config or SolverConfig()
     restarts = cfg.seesaw_restarts if restarts is None else restarts
@@ -890,32 +907,71 @@ def max_bisep_seesaw(
     return _seesaw(m.mat, 2 ** len(part), 2 ** (n - len(part)), restarts, tol, rng)
 
 
+# A restart tries one extrapolated sweep every _EXTRAPOLATE_EVERY plain ones, when
+# its estimated rate r is in (0, _MAX_RATE): r / (1 - r) grows without bound as r -> 1.
+_EXTRAPOLATE_EVERY = 3
+_MAX_RATE = 0.999
+
+
 def _seesaw(mat: np.ndarray, dim_a: int, dim_b: int, restarts: int, tol: float, rng) -> float:
     """Best ``<a(x)b| mat |a(x)b>`` over ``dim_a`` x ``dim_b`` product states found by
-    alternating eigenvector updates from ``restarts`` random starts of ``b``, all batched."""
+    alternating eigenvector updates from ``restarts`` random starts of ``b``, all batched.
+
+    A sweep sets ``a`` to the top eigenvector of ``<b| mat |b>``, then ``b`` to
+    that of ``<a| mat |a>``, whose top eigenvalue is the sweep's value, and
+    aligns the phase of the new ``b`` to the old (values depend on ``|b><b|``
+    only).  Near a bifurcation the ``b`` converge linearly, at a rate ``r``
+    close to 1.  So every 3rd sweep a restart estimates ``r = Re<D_(k-1)|D_k>
+    / |D_(k-1)|^2`` from its last two steps ``D`` and, when ``0 < r < 0.999``,
+    sweeps once from ``normalize(b_k + r / (1 - r) D_k)``: it keeps that
+    sweep's ``b`` and value only if the value is strictly higher, and then
+    starts its step history anew.  Every value is thus the top eigenvalue at
+    an explicit product state, nondecreasing per restart: a lower bound.  A
+    restart stops once a plain sweep gains ``<= tol``, reading only its own
+    history, so the result does not depend on the batching.
+    """
     # reshuffle[(j, l), (i, k)] = M[(i, j), (k, l)], so each partial contraction is a matmul
     reshuffle = mat.reshape(dim_a, dim_b, dim_a, dim_b).transpose(1, 3, 0, 2)
     reshuffle = reshuffle.reshape(dim_b**2, dim_a**2)
-    vec_b = np.empty((restarts, dim_b), dtype=complex)
-    for r in range(restarts):
-        vec_b[r] = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
-        vec_b[r] /= np.linalg.norm(vec_b[r])
-    values = np.full(restarts, -math.inf)
-    active = np.arange(restarts)  # each restart stops on its own once it gains <= tol
-    for _ in range(2000):
-        if not active.size:
-            break
-        vb = vec_b[active]
+
+    def sweep(vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         outer_b = (vb.conj()[:, :, None] * vb[:, None, :]).reshape(-1, dim_b**2)
         m_a = (outer_b @ reshuffle).reshape(-1, dim_a, dim_a)
         vec_a = np.linalg.eigh(m_a)[1][:, :, -1]
         outer_a = (vec_a.conj()[:, :, None] * vec_a[:, None, :]).reshape(-1, dim_a**2)
         m_b = (outer_a @ reshuffle.T).reshape(-1, dim_b, dim_b)
         vals, vecs = np.linalg.eigh(m_b)
-        vec_b[active] = vecs[:, :, -1]
-        new, old = vals[:, -1], values[active]
+        new_b = vecs[:, :, -1]
+        overlap = np.sum(vb.conj() * new_b, axis=1)
+        return vals[:, -1], new_b * np.exp(-1j * np.angle(overlap))[:, None]
+
+    starts = rng.standard_normal((restarts, 2, dim_b))
+    vec_b = starts[:, 0] + 1j * starts[:, 1]
+    vec_b /= np.linalg.norm(vec_b, axis=1, keepdims=True)
+    values = np.full(restarts, -math.inf)
+    steps = np.zeros_like(vec_b)  # last step b_k - b_(k-1) per restart; 0 before one, after a jump
+    age = np.zeros(restarts, dtype=int)  # plain sweeps since the start or the last jump
+    active = np.arange(restarts)  # each restart stops on its own once it gains <= tol
+    for _ in range(2000):
+        if not active.size:
+            break
+        new, new_b = sweep(vec_b[active])
+        step, last = new_b - vec_b[active], steps[active]
+        last_sq = np.sum(np.abs(last) ** 2, axis=1)
+        rate = np.real(np.sum(last.conj() * step, axis=1)) / np.where(last_sq > 0, last_sq, 1.0)
+        old = values[active]
         done = new - old <= tol
         values[active] = np.where(done, np.maximum(old, new), new)
+        vec_b[active], steps[active] = new_b, step
+        age[active] += 1
+        jump = ~done & (age[active] % _EXTRAPOLATE_EVERY == 0) & (rate > 0) & (rate < _MAX_RATE)
+        if jump.any():
+            rows, rate = active[jump], rate[jump]
+            guess = vec_b[rows] + (rate / (1.0 - rate))[:, None] * steps[rows]
+            trial, trial_b = sweep(guess / np.linalg.norm(guess, axis=1, keepdims=True))
+            better = trial > values[rows]
+            rows = rows[better]
+            values[rows], vec_b[rows], steps[rows], age[rows] = trial[better], trial_b[better], 0, 0
         active = active[~done]
     return float(np.max(values, initial=-math.inf))
 
@@ -930,7 +986,9 @@ def max_bisep_all(
 
     Mixtures of biseparable states cannot exceed the best pure product state
     for a linear objective, so this lower-bounds the biseparable maximum and
-    is tight when the seesaw finds the global optimum for each split.  A PI
+    is tight when the seesaw finds the global optimum for each split.  The
+    seesaw is the extrapolated one of :func:`_seesaw`: every value is still
+    attained by a product state, so the result stays a monotone lower bound.  A PI
     objective is searched per ``(j_A, j_B)`` block of :func:`max_ppt` (the value is
     bilinear in the parts' reduced block states) in :func:`_blocks_by_top` order
     while the block's bound ``min(lambda_max(M_b), lambda_max(M_b^T_A))``, which no

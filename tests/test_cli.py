@@ -225,6 +225,19 @@ def test_ppt_max_matches_library(capsys):
     assert payload["bipartition"] == list(oracle.bipartition)
 
 
+def test_ppt_max_upper_bound_covers_the_product_maximum(capsys):
+    # WI3_D41's objective: the printed upper bound is value + gap and no product state beats it
+    args = ("--n", "4", "--m", "1", "--q", "1.47", "--format", "json")
+    code, out, _ = run(capsys, "ppt-max", *args)
+    assert code == 0
+    ppt = json.loads(out)
+    code, out, _ = run(capsys, "bisep-max", *args)
+    assert code == 0
+    bisep = json.loads(out)
+    assert ppt["upper_bound"] == ppt["value"] + ppt["report"]["dual_residual"]
+    assert ppt["upper_bound"] >= bisep["value"] >= 4.1234
+
+
 def test_ppt_objective_size_is_checked_before_allocation(capsys, monkeypatch):
     def no_operators(*args, **kwargs):
         raise AssertionError("a dense operator was built before the size check")

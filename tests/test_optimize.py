@@ -363,6 +363,44 @@ def test_partial_transpose_bound_skips_the_losing_two_qubit_block(monkeypatch):
     assert counts["ppt"] <= 7 and counts["seesaw"] <= 7, counts
 
 
+def _count_linalg_calls(monkeypatch, *names: str) -> dict[str, int]:
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_extrapolation_cuts_the_product_search_sweeps(monkeypatch):
+    # near the bifurcation at q = 2.2-2.8 plain sweeps converge linearly at a rate of
+    # about 0.96: without extrapolation the grid takes 754 sweeps, 370 of them at q = 2.4
+    objectives = [penalty_objective(*key) for key in PPT_THRESHOLD_GRID]
+    counts = _count_linalg_calls(monkeypatch, "eigh")
+    for objective in objectives:
+        max_bisep_all(objective)
+    assert counts["eigh"] / 2 <= 320, counts  # a sweep is two eigh calls
+
+
+def test_product_search_reaches_the_degenerate_optimum():
+    # plain sweeps stop at 3.99999999998 here, where the linear rate is closest to 1
+    assert max_bisep_all(penalty_objective(4, 1, 2.4)).value >= 4.0 - 1e-12
+
+
+def test_ppt_block_solve_inverts_and_factors_both_blocks_at_once(monkeypatch):
+    # Y and Y^T_A as one 2-block LMI: one inv per Newton step and per certified level,
+    # one cholesky per line-search point; as two LMIs this solve makes 160 and 176 calls
+    from symwit.optimize import _objective_blocks, _ppt_blocks
+
+    _, blocks = _objective_blocks(penalty_objective(4, 1, 1.0), (1,), True)
+    (block,) = [b for b in blocks if (b.dim_a, b.dim_b) == (2, 4)]
+    counts = _count_linalg_calls(monkeypatch, "inv", "cholesky")
+    report = _ppt_blocks([block], SolverConfig())[1]
+    assert report.converged and report.iterations == 60
+    assert counts["inv"] <= 90 and counts["cholesky"] <= 120, counts
+
+
 def test_seesaw_bell_oracle_and_restart_prefix_monotone():
     m = bell_projector()
     v50 = max_bisep_seesaw(m, (1,), restarts=50)
@@ -373,24 +411,38 @@ def test_seesaw_bell_oracle_and_restart_prefix_monotone():
 
 
 def _seesaw_sequential(m, part_size, restarts, seed, tol):
-    """Reference: one restart at a time, same random stream and stopping rule."""
+    """Reference: one restart at a time, same random stream, stopping rule and extrapolation."""
     n = m.num_qubits
     dim_a, dim_b = 2**part_size, 2 ** (n - part_size)
     tensor = m.mat.reshape(dim_a, dim_b, dim_a, dim_b)
+
+    def sweep(vec_b):
+        vec_a = np.linalg.eigh(np.einsum("ijkl,j,l->ik", tensor, vec_b.conj(), vec_b))[1][:, -1]
+        vals, vecs = np.linalg.eigh(np.einsum("ijkl,i,k->jl", tensor, vec_a.conj(), vec_a))
+        overlap = np.vdot(vec_b, vecs[:, -1])
+        return float(vals[-1]), vecs[:, -1] * (overlap.conj() / abs(overlap) if overlap else 1.0)
+
     rng = np.random.default_rng(seed)
     best = -math.inf
     for _ in range(restarts):
         vec_b = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
         vec_b /= np.linalg.norm(vec_b)
-        value = -math.inf
+        value, last, plain = -math.inf, None, 0
         for _ in range(2000):
-            vec_a = np.linalg.eigh(np.einsum("ijkl,j,l->ik", tensor, vec_b.conj(), vec_b))[1][:, -1]
-            vals, vecs = np.linalg.eigh(np.einsum("ijkl,i,k->jl", tensor, vec_a.conj(), vec_a))
-            vec_b, new_value = vecs[:, -1], float(vals[-1])
+            new_value, new_b = sweep(vec_b)
+            step, vec_b = new_b - vec_b, new_b
             if new_value - value <= tol:
                 value = max(value, new_value)
                 break
-            value = new_value
+            value, plain = new_value, plain + 1
+            if plain % 3 == 0 and last is not None and np.vdot(last, last).real > 0:
+                rate = np.vdot(last, step).real / np.vdot(last, last).real
+                if 0 < rate < 0.999:
+                    guess = vec_b + rate / (1 - rate) * step
+                    trial, trial_b = sweep(guess / np.linalg.norm(guess))
+                    if trial > value:  # jump, and forget the steps before it
+                        value, vec_b, step, plain = trial, trial_b, None, 0
+            last = step
         best = max(best, value)
     return best
 
@@ -402,7 +454,7 @@ def test_seesaw_batch_matches_sequential_restarts():
     for n, k in ((3, 1), (4, 2), (5, 2)):
         m = random_pi_objective(n, rng)
         for seed in (0, 1):
-            for tol in (1e-12, 1.0):
+            for tol in (1e-12, 1e-6, 1.0):
                 got = max_bisep_seesaw(
                     m, tuple(range(1, k + 1)), restarts=7, tol=tol,
                     config=SolverConfig(seed=seed),
@@ -533,10 +585,12 @@ def test_fit_converges_far_out_on_a_nearly_free_face(axes, p):
 
 
 def _block_layout(lmi) -> tuple[int, ...]:
-    """Sizes of the finest contiguous diagonal blocks that hold every matrix of ``lmi``."""
-    pattern = np.any(lmi.flat.reshape(-1, lmi.dim, lmi.dim) != 0, axis=0)
-    cuts = [k for k in range(1, lmi.dim) if not (pattern[:k, k:].any() or pattern[k:, :k].any())]
-    return tuple(int(s) for s in np.diff([0] + cuts + [lmi.dim]))
+    """Sizes of the finest contiguous diagonal blocks that hold every matrix of ``lmi``,
+    an LMI of one block."""
+    dim = lmi.weight.shape[1]
+    pattern = np.any(lmi.flat.reshape(-1, dim, dim) != 0, axis=0)
+    cuts = [k for k in range(1, dim) if not (pattern[:k, k:].any() or pattern[k:, :k].any())]
+    return tuple(int(s) for s in np.diff([0] + cuts + [dim]))
 
 
 @pytest.mark.parametrize("n, axes", [(4, "xy"), (4, "xyz"), (6, "xy"), (6, "xyz")])
@@ -547,9 +601,10 @@ def test_fit_in_spin_blocks_matches_one_dense_block(n, axes, monkeypatch):
     layouts = []
     engine = opt._barrier_maximize
 
-    def recording(m_vec, a_vec, lmis, x, cfg, stop=None):
-        layouts.append([_block_layout(lmi) for lmi in lmis])
-        return engine(m_vec, a_vec, lmis, x, cfg, stop)
+    def recording(m_vec, a_vec, lmi, x, cfg, stop=None):
+        assert lmi.weight.shape[0] == 1 and len(lmi.flat) == len(x)
+        layouts.append(_block_layout(lmi))
+        return engine(m_vec, a_vec, lmi, x, cfg, stop)
 
     monkeypatch.setattr(opt, "_barrier_maximize", recording)
     problem = WitnessOptimizationProblem(
@@ -561,7 +616,7 @@ def test_fit_in_spin_blocks_matches_one_dense_block(n, axes, monkeypatch):
     _, dense = optimize_witness(problem)
     # one LMI: the spin blocks n/2, n/2 - 1, ..., 0, then the alpha and trace rows
     spin = tuple(range(n + 1, 0, -2)) + (1, 1)
-    assert layouts == [[spin], [spin], [(2**n, 1, 1)], [(2**n, 1, 1)]]
+    assert layouts == [spin, spin, (2**n, 1, 1), (2**n, 1, 1)]
     assert blocks.converged and dense.converged
     assert abs(blocks.optimum - dense.optimum) <= 1e-8
 
@@ -583,26 +638,27 @@ def test_fit_lmi_is_zero_off_its_blocks_and_past_each_prefix(target, axes, monke
         q, seen["ends"] = prefix(flats)
         return q, seen["ends"]
 
-    def recording_engine(m_vec, a_vec, lmis, x, cfg, stop=None):
-        seen["lmis"] = lmis
-        return engine(m_vec, a_vec, lmis, x, cfg, stop)
+    def recording_engine(m_vec, a_vec, lmi, x, cfg, stop=None):
+        seen["lmi"] = lmi
+        return engine(m_vec, a_vec, lmi, x, cfg, stop)
 
     monkeypatch.setattr(opt, "_prefix_coordinates", recording_prefix)
     monkeypatch.setattr(opt, "_barrier_maximize", recording_engine)
     basis = collective_power_basis(n, tuple(axes)) + (BasisTerm("projector"),)
     problem = WitnessOptimizationProblem(target, NoiseModel.white(n), basis)
     assert optimize_witness(problem)[1].converged
-    (lmi,) = seen["lmis"]  # the second phase's
+    lmi = seen["lmi"]  # the second phase's
     sizes, ends = seen["sizes"], seen["ends"]
     mults = [iso.shape[1] for iso, _ in problem.blocks] + [1, 1]  # the alpha and trace rows
-    assert lmi.dim == sum(sizes) and lmi.cols == slice(0, ends[-1])
-    mats = lmi.flat.reshape(-1, lmi.dim, lmi.dim)
-    inside = np.zeros((lmi.dim, lmi.dim), dtype=bool)
+    dim = sum(sizes)
+    assert lmi.weight.shape == (1, dim) and len(lmi.flat) == ends[-1]  # it reads all of u
+    mats = lmi.flat.reshape(-1, dim, dim)
+    inside = np.zeros((dim, dim), dtype=bool)
     offsets = np.cumsum([0] + sizes)
     for lo, hi, end, mult in zip(offsets[:-1], offsets[1:], ends, mults):
         inside[lo:hi, lo:hi] = True
         assert np.all(mats[end:, lo:hi, lo:hi] == 0) and np.any(mats[end - 1, lo:hi, lo:hi])
-        assert np.all(lmi.weight[lo:hi] == mult)
+        assert np.all(lmi.weight[0, lo:hi] == mult)
     assert np.all(mats[:, ~inside] == 0)
 
 

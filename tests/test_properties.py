@@ -1,7 +1,7 @@
 """Property tests: canonical setting keys, sign-flip round trips, Born
 probabilities, bootstrap determinism, the witness certificate and the PPT
 dual bound,
-and the barrier of one block-diagonal matrix inequality."""
+the barrier of a stack of matrix inequalities and the extrapolated seesaw."""
 
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from symwit.optimize import (
     _Lmi,
     _objective_blocks,
     _ppt_blocks,
+    _seesaw,
     collective_power_basis,
     max_bisep_seesaw,
     max_ppt,
@@ -290,43 +291,42 @@ def test_no_block_beats_the_block_scan_by_more_than_its_gap(n, seed, real):
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 5)), min_size=1, max_size=4),
+@given(st.integers(1, 3), st.lists(st.integers(1, 5), min_size=1, max_size=4),
        st.booleans(), st.integers(0, 2**32 - 1))
-def test_block_diagonal_lmi_matches_separate_lmis(blocks, real, seed):
-    # max sum_b w_b Tr(M_b X_b) over sum_b w_b Tr X_b = 1, X_b > 0, in variables
-    # y that a random rotation spreads over every block; its value is max_b lambda_max(M_b)
+def test_block_diagonal_lmi_matches_separate_lmis(d, weights, real, seed):
+    # max sum_b w_b Tr(M_b X_b) over sum_b w_b Tr X_b = 1, X_b > 0, in variables y
+    # that a random rotation spreads over every block, posed as a stack of k d-square
+    # blocks and as one block-diagonal kd-square block; its value is max_b lambda_max(M_b)
     rng = np.random.default_rng(seed)
-    bases = [_hermitian_basis(d, real).reshape(-1, d * d) for d, _ in blocks]
-    bounds = np.cumsum([0] + [len(basis) for basis in bases])
-    mix = np.linalg.qr(rng.standard_normal((bounds[-1], bounds[-1])))[0]
-    objectives = [_random_hermitian(rng, d) for d, _ in blocks]
+    k = len(weights)
+    basis = _hermitian_basis(d, real).reshape(-1, d * d)
+    size = len(basis)
+    mix = np.linalg.qr(rng.standard_normal((k * size, k * size)))[0]  # hide the structure
+    objectives = [_random_hermitian(rng, d) for _ in weights]
     objectives = [m.real if real else m for m in objectives]
-    m_x = np.concatenate([w * _herm_coords(m[None])[0] for (_, w), m in zip(blocks, objectives)])
-    units = [_herm_coords(np.eye(d, dtype=float if real else complex)[None])[0] for d, _ in blocks]
-    a_x = np.concatenate([w * unit for (_, w), unit in zip(blocks, units)])
-    x0 = np.concatenate(units) / sum(w * d for d, w in blocks)
-    flats = []
-    for basis, lo, hi in zip(bases, bounds[:-1], bounds[1:]):
-        flat = np.zeros((bounds[-1], basis.shape[1]), dtype=basis.dtype)
-        flat[lo:hi] = basis
-        flats.append(mix.T @ flat)  # sum_i y_i flats[i] = sum_j (mix y)_j flat[j]
-    every = slice(0, bounds[-1])
-    separate = [_Lmi(np.full(d, float(w)), every, flat, d) for (d, w), flat in zip(blocks, flats)]
-    dim = sum(d for d, _ in blocks)
-    stacked = np.zeros((bounds[-1], dim, dim), dtype=flats[0].dtype)
-    offsets = np.cumsum([0] + [d for d, _ in blocks])
-    for (d, _), flat, lo in zip(blocks, flats, offsets):
-        stacked[:, lo:lo + d, lo:lo + d] = flat.reshape(-1, d, d)
-    weight = np.repeat([float(w) for _, w in blocks], [d for d, _ in blocks])
-    single = [_Lmi(weight, every, stacked.reshape(len(stacked), -1), dim)]
+    m_x = np.concatenate([w * _herm_coords(m[None])[0] for w, m in zip(weights, objectives)])
+    unit = _herm_coords(np.eye(d, dtype=float if real else complex)[None])[0]
+    a_x = np.concatenate([w * unit for w in weights])
+    x0 = np.tile(unit, k) / (d * sum(weights))
+    blocks = np.zeros((k * size, k, d, d), dtype=basis.dtype)
+    for b in range(k):
+        blocks[b * size:(b + 1) * size, b] = basis.reshape(-1, d, d)
+    blocks = np.tensordot(mix.T, blocks, axes=1)  # sum_i y_i blocks[i] = sum_j (mix y)_j F_j
+    weight = np.repeat(np.array(weights, dtype=float)[:, None], d, axis=1)
+    stacked = _Lmi(weight, blocks.reshape(k * size, -1))
+    diagonal = np.zeros((k * size, k * d, k * d), dtype=basis.dtype)
+    for b in range(k):
+        diagonal[:, b * d:(b + 1) * d, b * d:(b + 1) * d] = blocks[:, b]
+    one = _Lmi(weight.reshape(1, -1), diagonal.reshape(k * size, -1))
     cfg = SolverConfig()
-    reports = [_barrier_maximize(mix.T @ m_x, mix.T @ a_x, lmis, mix.T @ x0, cfg)[1]
-               for lmis in (separate, single)]
+    reports = [_barrier_maximize(mix.T @ m_x, mix.T @ a_x, lmi, mix.T @ x0, cfg)[1]
+               for lmi in (stacked, one)]
     assert all(r.converged for r in reports)
     assert abs(reports[0].optimum - reports[1].optimum) <= 1e-9
     assert reports[0].dual_residual == reports[1].dual_residual
+    assert reports[0].min_eig_slack == pytest.approx(reports[1].min_eig_slack, rel=1e-6, abs=1e-12)
     want = max(float(np.linalg.eigvalsh(m)[-1]) for m in objectives)
-    assert -1e-9 <= want - reports[1].optimum <= reports[1].dual_residual + 1e-9
+    assert -1e-9 <= want - reports[0].optimum <= reports[0].dual_residual + 1e-9
 
 
 @settings(derandomize=True, deadline=None, max_examples=12)
@@ -357,3 +357,43 @@ def test_charge_sector_solve_matches_the_full_basis(pi, extra, seed):
     assert full.optimum <= sector.optimum + sector.dual_residual + slack
     rho = max_ppt(PptProblem(objective.hermitized(), part)).rho.mat
     assert np.max(np.abs(rho @ jz.mat - jz.mat @ rho)) <= 1e-12
+
+
+def _plain_seesaw(mat: np.ndarray, dim_a: int, dim_b: int, restarts: int, tol: float,
+                  rng: np.random.Generator) -> float:
+    """Reference: the seesaw without extrapolation, batched over the restarts."""
+    reshuffle = mat.reshape(dim_a, dim_b, dim_a, dim_b).transpose(1, 3, 0, 2)
+    reshuffle = reshuffle.reshape(dim_b**2, dim_a**2)
+    vec_b = np.empty((restarts, dim_b), dtype=complex)
+    for r in range(restarts):
+        vec_b[r] = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
+        vec_b[r] /= np.linalg.norm(vec_b[r])
+    values = np.full(restarts, -np.inf)
+    active = np.arange(restarts)
+    for _ in range(2000):
+        if not active.size:
+            break
+        vb = vec_b[active]
+        outer_b = (vb.conj()[:, :, None] * vb[:, None, :]).reshape(-1, dim_b**2)
+        vec_a = np.linalg.eigh((outer_b @ reshuffle).reshape(-1, dim_a, dim_a))[1][:, :, -1]
+        outer_a = (vec_a.conj()[:, :, None] * vec_a[:, None, :]).reshape(-1, dim_a**2)
+        vals, vecs = np.linalg.eigh((outer_a @ reshuffle.T).reshape(-1, dim_b, dim_b))
+        vec_b[active] = vecs[:, :, -1]
+        new, old = vals[:, -1], values[active]
+        done = new - old <= tol
+        values[active] = np.where(done, np.maximum(old, new), new)
+        active = active[~done]
+    return float(np.max(values))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(2, 4), st.integers(2, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_extrapolated_seesaw_is_never_below_the_plain_one(dim_a, dim_b, real, seed):
+    # an extrapolated sweep is kept only when it raises the value, so from the same
+    # starts the seesaw ends no lower than the plain alternating updates
+    rng = np.random.default_rng(seed)
+    mat = _random_hermitian(rng, dim_a * dim_b)
+    mat = mat.real if real else mat
+    got = _seesaw(mat, dim_a, dim_b, 10, 1e-12, np.random.default_rng(seed))
+    plain = _plain_seesaw(mat, dim_a, dim_b, 10, 1e-12, np.random.default_rng(seed))
+    assert got >= plain - 1e-12 * (1 + abs(plain))
