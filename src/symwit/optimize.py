@@ -1,15 +1,16 @@
 """Witness and state optimization by convex programming.
 
-One log-barrier interior-point engine, :func:`_barrier_maximize`, solves
-both convex programs, in real Schur–Weyl (total-spin) blocks whenever their
-data is permutation invariant; other data is one dense block.  Each solve
-has one matrix inequality, a stack of equal-size diagonal blocks (``Y`` and
-``Y^T_A`` for a PPT block) inverted and factored in one batched call, and
-it weights the barrier per row, so blocks of different weights form one
-block-diagonal inequality (the witness fit's).  ``optimize_witness`` fits
-witness coefficients over a fixed operator basis: ``W - alpha * W_P >= 0``
-holds exactly when each spin-``j`` block of it does (at N=8 the largest is
-9-square instead of 256-square), and the fit is one such inequality.
+One primal-dual interior-point engine, :func:`_primal_dual_maximize`,
+solves both convex programs, in real Schur–Weyl (total-spin) blocks whenever
+their data is permutation invariant; other data is one dense block.  Each
+solve has one matrix inequality, a stack of equal-size diagonal blocks
+(``Y`` and ``Y^T_A`` for a PPT block) inverted and factored in one batched
+call, with an inner product weighted per row, so blocks of different
+weights form one block-diagonal inequality (the witness fit's).
+``optimize_witness`` fits witness coefficients over a fixed operator basis:
+``W - alpha * W_P >= 0`` holds exactly when each spin-``j`` block of it
+does (at N=8 the largest is 9-square instead of 256-square), and the fit
+is one such inequality.
 ``max_ppt`` maximizes a Hermitian objective over density matrices whose
 partial transpose across a given bipartition stays positive, with a
 certified duality gap; for a permutation-invariant objective the maximum
@@ -83,13 +84,14 @@ _JSON_TYPES = {"float": float, "int": int, "bool": bool}  # casts by field annot
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs shared by the solvers.
+    """Numerical settings shared by the solvers.
 
-    ``barrier_tol`` is the final barrier parameter mu of the interior-point
-    engine that fits witnesses and maximizes over PPT states (see
-    :class:`SolverReport` for the duality gap); the seesaw fields control
-    the random-restart product-state search.  All randomness flows from ``seed`` through
-    explicit generators, so runs are reproducible.
+    ``barrier_tol`` is the final mu, the mean complementarity ``<Z, S>_w /
+    sum(w)``, of the primal-dual engine that fits witnesses and maximizes
+    over PPT states (see :class:`SolverReport` for the duality gap); the
+    seesaw fields control the random-restart product-state search.  All
+    randomness flows from ``seed`` through explicit generators, so runs are
+    reproducible.
     """
 
     barrier_tol: float = 1e-9
@@ -98,7 +100,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # nan meets no stopping test, and barrier_tol = 0 lets mu underflow to 0
+        # nan meets no stopping test, and barrier_tol = 0 none that mu > 0 can meet
         tols = dict(barrier_tol=self.barrier_tol, seesaw_tol=self.seesaw_tol)
         if not all(math.isfinite(t) and t >= 0 for t in tols.values()) or self.barrier_tol == 0:
             raise ValueError(f"tolerances must be finite and >= 0, barrier_tol > 0; got {tols}")
@@ -122,10 +124,11 @@ class SolverReport:
     ``primal_residual`` the violation of the equality constraints;
     ``dual_residual`` the duality gap: certified for a PPT result
     (``optimum + dual_residual`` is an upper bound), and for a witness fit
-    ``mu`` times the summed row weights of its matrix inequality;
+    ``<Z, S>_w`` at the engine's last iterate;
     ``min_eig_slack`` the smallest eigenvalue over the semidefinite blocks at
     the returned point (for a witness fit, the spec's certificate slack);
-    ``iterations`` the Newton steps taken, over every solve behind the result.
+    ``iterations`` the predictor-corrector iterations taken, one each, over
+    every solve behind the result.
     """
 
     optimum: float
@@ -144,7 +147,8 @@ class SolverReport:
 
 
 def _herm(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2.0
+    """The Hermitian part of a matrix or of each matrix of a stack."""
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +161,7 @@ class _Lmi(NamedTuple):
 
     Row ``i`` of ``flat``, shape ``(len(x), k * d^2)``, holds the blocks of
     ``F_i`` flattened one after the other; ``weight[b, r]``, shape ``(k, d)``,
-    is the barrier weight of row ``r`` of block ``b``, constant on each
+    is the inner-product weight of row ``r`` of block ``b``, constant on each
     diagonal sub-block of the ``F_i``.
     """
 
@@ -170,127 +174,119 @@ class _Lmi(NamedTuple):
         return (x @ self.flat).reshape(k, d, d)
 
 
-def _barrier_maximize(
+def _primal_dual_maximize(
     m_vec: np.ndarray,
     a_vec: np.ndarray,
     lmi: _Lmi,
     x: np.ndarray,
     cfg: SolverConfig,
     stop=None,
-) -> tuple[np.ndarray, SolverReport]:
-    """Log-barrier interior point: maximize ``m . x`` over ``a . x = 1`` and the LMI.
+) -> tuple[np.ndarray, np.ndarray, SolverReport]:
+    """Primal-dual path following: maximize ``m . x`` over ``a . x = 1`` and ``S = F(x) > 0``.
 
-    Starts from the strictly feasible ``x`` and follows mu = 1, 0.1, ...
-    down to ``cfg.barrier_tol`` with damped Newton steps on
-    ``-m . x / mu - sum_k w_k log L_kk^2`` (``L`` the Cholesky factors of
-    the LMI's blocks, ``w`` their row weights): its Hessian is
-    ``Tr(F_a D_w P F_b P)``, ``P`` the inverse, summed over the blocks, and
-    on the central path the duality gap is ``mu * sum(w)``.  Each Newton
-    step inverts the stack of blocks in one batched call, and each trial
-    point of its line search factors them in one.  The LMI is homogeneous
-    in ``x``, so the final rescaling to ``a . x = 1`` keeps the point
-    feasible.  ``stop(x, mu)``, when given, is asked after each level above
-    ``cfg.barrier_tol``, with the level's end point and its ``mu``, and ends
-    the path when true; it must not modify ``x``.  The report's
-    ``converged`` is false when a level ends off the central path or
-    ``stop`` ends the path before ``cfg.barrier_tol``.  Returns ``x`` and
-    the report.
+    The dual minimizes ``y`` over ``Z >= 0``, blocks as ``S``, with ``m - y
+    a + F*(Z) = 0``, ``F*(Z)_i = <F_i, Z>_w = Tr(F_i D_w Z)`` (``D_w`` the
+    row weights), so that ``y - m . x = <Z, S>_w``.  From the strictly
+    feasible ``x``, ``Z = S^-1`` and ``y`` fitted by least squares, each
+    iteration is one predictor-corrector step (Mehrotra 1992) along the HKM
+    direction (Helmberg, Rendl, Vanderbei and Wolkowicz 1996; Kojima,
+    Shindoh and Hara 1997; Monteiro 1997): two solves of
+    one bordered Newton system, Hessian ``Tr(F_i D_w Z F_j S^-1)`` scaled to
+    unit diagonal, toward ``Z S = 0``, then toward ``Z S = t 1 - dZ dS`` of
+    the first, ``t = max(sigma mu, barrier_tol / 10)``, ``sigma = (mu_aff /
+    mu)^3``, ``mu = <Z, S>_w / sum(w)``.  ``S`` and ``Z`` each step 0.98 of
+    the way to their boundary (from the eigenvalues of ``L^-1 dS L^-H``, at
+    most 1), halved while the new point does not factor.  The path ends
+    converged once ``mu <= barrier_tol`` and ``|m - y a + F*(Z)| <=
+    barrier_tol (1 + |m|)``; unconverged after 100 steps, when no step
+    factors, or when ``stop(x, Z)``, asked at every iterate (it must not
+    modify them), is true.  Returns ``x`` rescaled to ``a . x = 1`` (the LMI
+    is homogeneous), ``Z`` and the report, whose ``dual_residual`` is
+    ``<Z, S>_w``.
     """
     nb = len(x)
+    k, d = lmi.weight.shape
+    w = lmi.weight[..., None]  # D_w, constant on the diagonal sub-blocks that it scales
+    total, size_m = float(lmi.weight.sum()), 1.0 + float(np.linalg.norm(m_vec))
     flat_conj = lmi.flat.conj()
-    blocks = lmi.flat.reshape(nb, *lmi.weight.shape, -1)
+    blocks = lmi.flat.reshape(nb, k, d, d)
 
-    def barrier(vec: np.ndarray) -> float | None:
+    def adjoint(mat: np.ndarray) -> np.ndarray:  # F*(mat), of mat's Hermitian part
+        return np.real(flat_conj @ (w * mat).ravel())
+
+    def mean_gap(z_mat: np.ndarray, s_mat: np.ndarray) -> float:  # <Z, S>_w / sum(w)
+        return float(np.real(np.sum(w * z_mat * s_mat.conj()))) / total
+
+    def factor(mat: np.ndarray) -> np.ndarray | None:
         try:
-            chol = np.linalg.cholesky(lmi.matrix(vec))
+            return np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
             return None
-        diag = np.real(np.diagonal(chol, axis1=-2, axis2=-1))
-        return -2.0 * float(np.sum(lmi.weight * np.log(diag)))
 
-    total_newton = 0
-    converged = True
-    mu = 1.0
-    b_x = barrier(x)  # x, and so b_x, carries over from one level to the next
+    s = lmi.matrix(x)
+    z = _herm(np.linalg.inv(s))
+    chol_s, chol_z = np.linalg.cholesky(s), np.linalg.cholesky(z)
+    y = float(a_vec @ (m_vec + adjoint(z))) / float(a_vec @ a_vec)
+    iterations, converged = 0, False
     while True:
-        t = 1.0 / mu
-        dec = math.inf
-        for _ in range(60):
-            # Hessian bordered by the equality constraint
-            kkt = np.zeros((nb + 1, nb + 1))
-            kkt[:nb, nb] = kkt[nb, :nb] = a_vec
-            prec = np.linalg.inv(lmi.matrix(x))
-            weighted = lmi.weight[..., None] * prec  # = P D_w: w is constant on P's blocks
-            grad = -t * m_vec - np.real(flat_conj @ weighted.ravel())
-            curv = (weighted @ blocks @ prec).reshape(nb, -1)
-            kkt[:nb, :nb] += np.real(curv @ flat_conj.T)
-            # Near the central path grad is almost parallel to a_vec, with a
-            # multiplier of order t, and the Hessian spans ~1/mu^2 in scale.
-            # Removing that part of grad (it does not change dx), scaling
-            # the Hessian to unit diagonal and taking the decrement as the
-            # step's curvature dx.H.dx (equal to -grad.dx in exact
-            # arithmetic) keeps the rounding error from growing with t.
-            grad -= (a_vec @ grad) / (a_vec @ a_vec) * a_vec
-            scale = np.append(1.0 / np.sqrt(np.diag(kkt)[:nb]), 1.0)
-            kkt = kkt * np.outer(scale, scale)
-            kkt[:nb, :nb] = (kkt[:nb, :nb] + kkt[:nb, :nb].T) / 2.0
-            rhs = np.append(-grad, 0.0) * scale
-            try:
-                y = np.linalg.solve(kkt, rhs)[:nb]
-            except np.linalg.LinAlgError:
-                y = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:nb]
-            dx = y * scale[:nb]
-            dec = float(y @ kkt[:nb, :nb] @ y)
-            if not math.isfinite(dec) or dec <= 2e-9:
-                break
+        inv_s, inv_z = np.linalg.inv(chol_s), np.linalg.inv(chol_z)
+        s_inv = inv_s.conj().swapaxes(-1, -2) @ inv_s
+        mu = mean_gap(z, s)
+        if stop is not None and stop(x, z):
+            break
+        residual = np.linalg.norm(m_vec - y * a_vec + adjoint(z))
+        if mu <= cfg.barrier_tol and residual <= cfg.barrier_tol * size_m:
+            converged = True
+            break
+        if iterations == 100:
+            break
+        kkt = np.zeros((nb + 1, nb + 1))
+        kkt[:nb, nb] = kkt[nb, :nb] = a_vec
+        kkt[:nb, :nb] = np.real(((w * z) @ blocks @ s_inv).reshape(nb, -1) @ flat_conj.T)
+        scale = np.append(1.0 / np.sqrt(np.diag(kkt)[:nb]), 1.0)
+        kkt = kkt * np.outer(scale, scale)
+        kkt[:nb, :nb] = (kkt[:nb, :nb] + kkt[:nb, :nb].T) / 2.0
 
-            # Armijo test on -t m.x + barrier, with the linear part taken
-            # from dx rather than as a difference of two large totals
-            gain = t * float(m_vec @ dx)
-            step = 1.0
-            accepted = False
-            for _ in range(60):
-                x_new = x + step * dx
-                b_new = barrier(x_new)
-                if b_new is not None and b_new - b_x - step * gain <= -0.01 * step * dec:
-                    accepted = True
-                    break
-                step *= 0.5
-            total_newton += 1
-            if accepted and np.any(x_new != x):
-                x, b_x = x_new, b_new
-                continue
-            # Below mu ~ 1e-8 the Hessian spans more scales than double
-            # precision resolves: dx can point uphill, by the model's own
-            # slope grad.dx or at a short probe, or the accepted step can be
-            # too short to change x.  That ends the level at the rounding
-            # floor, like a centered one.  A downhill dx that no step length
-            # improves enough is a centering failure.
-            probe = 1e-4
-            b_probe = barrier(x + probe * dx)
-            uphill = b_probe is not None and b_probe - b_x - probe * gain >= 0.0
-            if accepted or uphill or grad @ dx >= 0.0:
-                dec = 0.0
+        def direction(target: np.ndarray):
+            """``dx``, ``dy``, ``dS``, ``dZ`` toward ``Z S = target`` and their step lengths."""
+            tgt = _herm(target @ s_inv)
+            rhs = np.append(m_vec - y * a_vec + adjoint(tgt), 1.0 - a_vec @ x) * scale
+            sol = np.linalg.solve(kkt, rhs) * scale
+            ds = lmi.matrix(sol[:nb])
+            dz = tgt - z - _herm(z @ ds @ s_inv)
+            scaled = [inv @ step @ inv.conj().swapaxes(-1, -2)
+                      for inv, step in ((inv_s, ds), (inv_z, dz))]
+            low = np.linalg.eigvalsh(np.concatenate(scaled))[:, 0].reshape(2, k).min(axis=1)
+            return sol[:nb], sol[nb], ds, dz, np.minimum(1.0, 0.98 / np.maximum(-low, 0.98))
+
+        _, _, ds, dz, (step_p, step_d) = direction(np.zeros_like(z))
+        mu_aff = mean_gap(z + step_d * dz, s + step_p * ds)
+        sigma = min(1.0, mu_aff / mu) ** 3
+        dx, dy, ds, dz, (step_p, step_d) = direction(
+            max(sigma * mu, cfg.barrier_tol / 10) * np.eye(d) - dz @ ds)
+        iterations += 1
+        for _ in range(40):  # rounding can leave a 0.98 step just outside the cone
+            x_new, z_new = x + step_p * dx, _herm(z + step_d * dz)
+            s_new = lmi.matrix(x_new)
+            chol_s_new, chol_z_new = factor(s_new), factor(z_new)
+            if chol_s_new is not None and chol_z_new is not None:
+                break
+            step_p *= 0.5 if chol_s_new is None else 1.0
+            step_d *= 0.5 if chol_z_new is None else 1.0
+        else:
             break
-        if dec > 1e-5:
-            converged = False
-        if mu <= cfg.barrier_tol * (1.0 + 1e-12):
-            break
-        if stop is not None and stop(x, mu):
-            converged = False
-            break
-        mu = max(mu / 10.0, cfg.barrier_tol)
+        x, s, chol_s, z, chol_z, y = x_new, s_new, chol_s_new, z_new, chol_z_new, y + step_d * dy
 
     x = x / float(a_vec @ x)  # remove the accumulated drift off the plane
     report = SolverReport(
         optimum=float(m_vec @ x),
         primal_residual=float(abs(a_vec @ x - 1.0)),
-        dual_residual=float(lmi.weight.sum() * mu),
+        dual_residual=mu * total,
         min_eig_slack=float(np.min(np.linalg.eigvalsh(lmi.matrix(x))[:, 0])),
-        iterations=total_newton,
+        iterations=iterations,
         converged=converged,
     )
-    return x, report
+    return x, z, report
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +359,10 @@ class WitnessOptimizationProblem:
 
 
 # Bound on Tr(W - alpha * W_P) per dimension.  The optimal face can be
-# unbounded (it is for the xy basis under non-white noise), and the barrier
-# then runs off along it.  One homogeneous row, (bound * a - tr) . z >= 0;
-# rows bounding single coefficients, bound * a +- e_i, lose e_i to cancellation.
+# unbounded (it is for the xy basis under non-white noise), and the
+# interior-point iterates then run off along it.  One homogeneous row,
+# (bound * a - tr) . z >= 0; rows bounding single coefficients,
+# bound * a +- e_i, lose e_i to cancellation.
 _MAX_TRACE_PER_DIM = 1e3
 
 
@@ -375,8 +372,8 @@ def _prefix_coordinates(flats: list[np.ndarray]) -> tuple[np.ndarray, list[int]]
     Column group ``i`` spans the directions that move ``flats[i]`` (one
     diagonal block of an LMI) and none of ``flats[:i]``.  So a direction
     that an early, nearly singular block does not see is exactly zero in
-    it and gets no Hessian entries from it, whose ``1 / mu^2`` curvature
-    would bury the direction's own in rounding noise.
+    it and gets no Hessian entries from it, whose curvature grows as
+    ``1 / mu`` and would bury the direction's own in rounding noise.
     """
     rest = np.eye(len(flats[0]))
     groups, ends = [], []
@@ -404,7 +401,7 @@ def optimize_witness(
     symmetric target the slack is ``(+)_j S_j (x) 1_mult_j`` in the
     Schur–Weyl basis, ``S_j = W_j - alpha W_P,j``; any other target has one
     dense block.  The fit is a 1-block LMI ``(+)_j S_j (+) (alpha) (+) (trace row)``,
-    row weights ``mult_j`` on ``S_j`` (the dense barrier) and 1 on the last
+    row weights ``mult_j`` on ``S_j`` (the dense inner product) and 1 on the last
     two, in prefix coordinates of the unit-norm columns of ``z``.  A phase I
     maximizes a margin ``s`` subtracted from it until ``s > 0``.  Raises
     :class:`OptimizationError` if no witness of the requested form exists.
@@ -452,17 +449,17 @@ def optimize_witness(
     s0 = float(np.linalg.eigvalsh(lmi.matrix(u0))[0, 0]) - 1.0
     # the margin s comes first and is subtracted from the LMI
     phase_one = lmi._replace(flat=np.vstack([-np.eye(offsets[-1]).ravel(), lmi.flat]))
-    start, first = _barrier_maximize(
+    start, _, first = _primal_dual_maximize(
         np.eye(nb + 2)[0], np.append(0.0, a_u), phase_one, np.append(s0, u0), cfg,
-        stop=lambda x, mu: x[0] > 0,
+        stop=lambda x, z: x[0] > 0,
     )
     if start[0] <= 0:
         raise infeasible
-    u, second = _barrier_maximize(q.T @ np.append(-n_vec, 0.0), a_u, lmi, start[1:], cfg)
+    u, _, second = _primal_dual_maximize(q.T @ np.append(-n_vec, 0.0), a_u, lmi, start[1:], cfg)
     z = q @ u
 
     coeffs, alpha = z[:nb], float(z[nb])
-    try:  # W can lose the barrier's margin to rounding in large coefficients
+    try:  # W can lose the engine's margin to rounding in large coefficients
         spec = WitnessSpec(problem.name, problem.num_qubits, problem.basis,
                            tuple(float(c) for c in coeffs), problem.target, alpha, lambda_sq,
                            alpha_source="optimized")
@@ -620,7 +617,9 @@ def _dual_bound(blocks: list[_Block], p_mats, q_mats) -> float:
     ``Tr(Q_b X_b^T_A) >= lambda_min(Q_b) Tr X_b``, so with
     ``sum_b mult_b Tr X_b = 1`` every ``sum_b mult_b Tr(M_b X_b) <= c``.
     No sign of ``P_b`` or ``Q_b`` is assumed: a poor choice loosens ``c``
-    but never invalidates it.
+    but never invalidates it.  The dual iterate ``(Z_1, Z_2)`` of a block
+    solve is a good one: where ``M_b + Z_1 + Z_2^T_A = y 1`` holds, ``c <=
+    y``, and ``y`` exceeds the value by ``<Z, S>``.
     """
     bound = -math.inf
     for blk, p_b, q_b in zip(blocks, p_mats, q_mats):
@@ -653,15 +652,14 @@ def _ppt_block(blk: _Block, cfg: SolverConfig, floor: float, top: float):
     """``(Y, report)`` maximizing ``Tr(M_b Y)``, ``Tr Y = 1``, ``Y, Y^T_A > 0``, from ``Y = 1 / d``.
 
     ``Y`` and ``Y^T_A`` are the two blocks of one :class:`_Lmi`, so each
-    Newton step inverts both in one call.  ``Y`` spans only the basis
-    elements of :func:`_charge_sectors`: when ``M_b`` commutes with the
+    iteration inverts and factors both in one call.  ``Y`` spans only the
+    basis elements of :func:`_charge_sectors`: when ``M_b`` commutes with the
     charge ``C = J_z^A + J_z^B``, twirling ``Y`` by the local unitaries
-    ``exp(i t C)`` keeps both constraints and the value, so an optimum (and
-    the whole central path, the barrier being strictly concave) commutes
-    with ``C``.  ``dual_residual`` is the least of ``top`` and the
-    :func:`_dual_bound` (with the full ``M_b``) at ``mu Y^-1``,
-    ``mu (Y^T_A)^-1`` of each level's end point and of the returned one
-    (``mu = barrier_tol``), minus the value; below ``floor - 1e-9 (1 + |floor|)`` it stops.
+    ``exp(i t C)`` keeps both constraints and the value, so some optimum
+    commutes with ``C``.  ``dual_residual`` is the least of ``top`` and the
+    :func:`_dual_bound` (with the full ``M_b``) at the engine's dual blocks
+    ``Z_1``, ``Z_2`` of every iterate, minus the value; the solve stops once
+    that bound is below ``floor - 1e-9 (1 + |floor|)``.
     """
     real = not np.any(np.imag(blk.objective))
     m_b = np.real(blk.objective) if real else blk.objective
@@ -672,15 +670,13 @@ def _ppt_block(blk: _Block, cfg: SolverConfig, floor: float, top: float):
     cutoff = floor - 1e-9 * (1.0 + abs(floor))
     least = top
 
-    def certify(x: np.ndarray, mu: float) -> bool:
+    def certify(x: np.ndarray, z: np.ndarray) -> bool:
         nonlocal least
-        p_b, q_b = (_herm(inv) for inv in mu * np.linalg.inv(lmi.matrix(x)))
-        least = min(least, _dual_bound([blk], [p_b], [q_b]))
+        least = min(least, _dual_bound([blk], [z[0]], [z[1]]))
         return least < cutoff
 
-    x, report = _barrier_maximize(_herm_coords(m_b[None])[0][keep], unit, lmi, unit / d, cfg,
-                                  certify)
-    certify(x, cfg.barrier_tol)
+    x, _, report = _primal_dual_maximize(_herm_coords(m_b[None])[0][keep], unit, lmi, unit / d,
+                                         cfg, certify)
     return lmi.matrix(x)[0], replace(report, dual_residual=least - report.optimum)
 
 
@@ -696,7 +692,7 @@ def _ppt_blocks(
     order with floor ``bound = max(floor, best so far)`` until the block's
     ``top_b = min(lambda_max(M_b), lambda_max(M_b^T_A)) < bound - 1e-12 (1 + |bound|)``.
     The first of the greatest value wins, with the greatest bound of any block
-    (``top_b`` if skipped) and the Newton steps of all; if all are
+    (``top_b`` if skipped) and the iterations of all; if all are
     skipped, it is the top block's ``Y = 1 / d`` after 0 iterations.
     """
     order = _blocks_by_top(blocks)

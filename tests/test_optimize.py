@@ -274,7 +274,7 @@ def test_block_scan_matches_exhaustive_block_solves(objective):
 def test_product_maximum_is_within_the_certified_ppt_bound(key):
     objective = penalty_objective(*key)
     ppt = max_ppt_all(objective)
-    assert ppt.report.converged and 0.0 <= ppt.report.dual_residual <= 1e-6
+    assert ppt.report.converged and 0.0 <= ppt.report.dual_residual <= 1e-8 * (1 + abs(ppt.value))
     assert max_bisep_all(objective).value <= ppt.value + ppt.report.dual_residual
 
 
@@ -313,7 +313,9 @@ def test_objective_without_a_conserved_charge_keeps_the_full_basis():
         assert max_ppt(PptProblem(m, part)).report == unknown
     result = max_ppt_all(m)
     assert result.bipartition == (1,) and result.report.converged
-    assert abs(result.value - 5.797498421543819) <= 1e-12  # the full-basis solve's value
+    # a log-barrier full-basis solve read 5.797498421543819 with certified gap 6.33e-8:
+    # both values are attained and within their gaps of the same maximum
+    assert abs(result.value - 5.797498421543819) <= 6.33e-8 + result.report.dual_residual
 
 
 @pytest.mark.parametrize("objective", [penalty_objective(*key) for key in PPT_THRESHOLD_GRID] + [
@@ -389,16 +391,22 @@ def test_product_search_reaches_the_degenerate_optimum():
 
 
 def test_ppt_block_solve_inverts_and_factors_both_blocks_at_once(monkeypatch):
-    # Y and Y^T_A as one 2-block LMI: one inv per Newton step and per certified level,
-    # one cholesky per line-search point; as two LMIs this solve makes 160 and 176 calls
+    # Y and Y^T_A as one 2-block LMI, whose S and Z are each inverted and factored in one
+    # call; the log-barrier engine took 60 Newton steps here, 80 inv and 114 cholesky calls
     from symwit.optimize import _objective_blocks, _ppt_blocks
 
     _, blocks = _objective_blocks(penalty_objective(4, 1, 1.0), (1,), True)
     (block,) = [b for b in blocks if (b.dim_a, b.dim_b) == (2, 4)]
-    counts = _count_linalg_calls(monkeypatch, "inv", "cholesky")
+    shapes: dict[str, list] = {"inv": [], "cholesky": []}
+    for name, calls in shapes.items():
+        def recorded(mat, _calls=calls, _original=getattr(np.linalg, name)):
+            _calls.append(np.shape(mat))
+            return _original(mat)
+        monkeypatch.setattr(np.linalg, name, recorded)
     report = _ppt_blocks([block], SolverConfig())[1]
-    assert report.converged and report.iterations == 60
-    assert counts["inv"] <= 90 and counts["cholesky"] <= 120, counts
+    assert report.converged and report.iterations <= 20
+    assert all(shape == (2, 8, 8) for calls in shapes.values() for shape in calls), shapes
+    assert len(shapes["inv"]) < 80 and len(shapes["cholesky"]) < 114
 
 
 def test_seesaw_bell_oracle_and_restart_prefix_monotone():
@@ -599,14 +607,14 @@ def test_fit_in_spin_blocks_matches_one_dense_block(n, axes, monkeypatch):
     import symwit.witnesses as wit
 
     layouts = []
-    engine = opt._barrier_maximize
+    engine = opt._primal_dual_maximize
 
     def recording(m_vec, a_vec, lmi, x, cfg, stop=None):
         assert lmi.weight.shape[0] == 1 and len(lmi.flat) == len(x)
         layouts.append(_block_layout(lmi))
         return engine(m_vec, a_vec, lmi, x, cfg, stop)
 
-    monkeypatch.setattr(opt, "_barrier_maximize", recording)
+    monkeypatch.setattr(opt, "_primal_dual_maximize", recording)
     problem = WitnessOptimizationProblem(
         dicke(n, n // 2), NoiseModel.white(n), collective_power_basis(n, tuple(axes))
     )
@@ -631,7 +639,7 @@ def test_fit_lmi_is_zero_off_its_blocks_and_past_each_prefix(target, axes, monke
         target = StateVector(vec / np.linalg.norm(vec))
     n = target.num_qubits
     seen = {}
-    prefix, engine = opt._prefix_coordinates, opt._barrier_maximize
+    prefix, engine = opt._prefix_coordinates, opt._primal_dual_maximize
 
     def recording_prefix(flats):
         seen["sizes"] = [math.isqrt(flat.shape[1]) for flat in flats]
@@ -643,7 +651,7 @@ def test_fit_lmi_is_zero_off_its_blocks_and_past_each_prefix(target, axes, monke
         return engine(m_vec, a_vec, lmi, x, cfg, stop)
 
     monkeypatch.setattr(opt, "_prefix_coordinates", recording_prefix)
-    monkeypatch.setattr(opt, "_barrier_maximize", recording_engine)
+    monkeypatch.setattr(opt, "_primal_dual_maximize", recording_engine)
     basis = collective_power_basis(n, tuple(axes)) + (BasisTerm("projector"),)
     problem = WitnessOptimizationProblem(target, NoiseModel.white(n), basis)
     assert optimize_witness(problem)[1].converged
@@ -739,5 +747,5 @@ def test_catalog_constant_is_a_certified_ppt_bound(name):
     spec = catalog(name)
     c = spec.coefficients[0]
     ppt = max_ppt_all(c * identity(spec.num_qubits) - spec.dense)
-    assert ppt.report.converged
+    assert ppt.report.converged and ppt.report.dual_residual <= 1e-8 * (1 + abs(ppt.value))
     assert c >= ppt.value + ppt.report.dual_residual

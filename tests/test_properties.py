@@ -1,7 +1,7 @@
 """Property tests: canonical setting keys, sign-flip round trips, Born
 probabilities, bootstrap determinism, the witness certificate and the PPT
-dual bound,
-the barrier of a stack of matrix inequalities and the extrapolated seesaw."""
+dual bound, the primal-dual engine on a stack of matrix inequalities and
+the extrapolated seesaw."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from symwit.optimize import (
     PptProblem,
     SolverConfig,
     WitnessOptimizationProblem,
-    _barrier_maximize,
+    _Block,
     _batched_pt_front,
     _bipartitions,
     _dual_bound,
@@ -28,6 +28,7 @@ from symwit.optimize import (
     _Lmi,
     _objective_blocks,
     _ppt_blocks,
+    _primal_dual_maximize,
     _seesaw,
     collective_power_basis,
     max_bisep_seesaw,
@@ -290,13 +291,13 @@ def test_no_block_beats_the_block_scan_by_more_than_its_gap(n, seed, real):
             assert alone <= result.value + result.report.dual_residual
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(st.integers(1, 3), st.lists(st.integers(1, 5), min_size=1, max_size=4),
-       st.booleans(), st.integers(0, 2**32 - 1))
-def test_block_diagonal_lmi_matches_separate_lmis(d, weights, real, seed):
-    # max sum_b w_b Tr(M_b X_b) over sum_b w_b Tr X_b = 1, X_b > 0, in variables y
-    # that a random rotation spreads over every block, posed as a stack of k d-square
-    # blocks and as one block-diagonal kd-square block; its value is max_b lambda_max(M_b)
+def _random_stack(d: int, weights: list[int], real: bool, seed: int):
+    """max sum_b w_b Tr(M_b X_b) over sum_b w_b Tr X_b = 1, X_b > 0, in variables y that a
+    random rotation spreads over every block, posed as a stack of k d-square blocks and as
+    one block-diagonal kd-square block; its value is max_b lambda_max(M_b).
+
+    Returns the objectives M_b, (m, a, y0) and the two LMIs.
+    """
     rng = np.random.default_rng(seed)
     k = len(weights)
     basis = _hermitian_basis(d, real).reshape(-1, d * d)
@@ -318,15 +319,48 @@ def test_block_diagonal_lmi_matches_separate_lmis(d, weights, real, seed):
     for b in range(k):
         diagonal[:, b * d:(b + 1) * d, b * d:(b + 1) * d] = blocks[:, b]
     one = _Lmi(weight.reshape(1, -1), diagonal.reshape(k * size, -1))
+    return objectives, (mix.T @ m_x, mix.T @ a_x, mix.T @ x0), (stacked, one)
+
+
+stacks = (st.integers(1, 3), st.lists(st.integers(1, 5), min_size=1, max_size=4),
+          st.booleans(), st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(*stacks)
+def test_block_diagonal_lmi_matches_separate_lmis(d, weights, real, seed):
+    objectives, problem, lmis = _random_stack(d, weights, real, seed)
     cfg = SolverConfig()
-    reports = [_barrier_maximize(mix.T @ m_x, mix.T @ a_x, lmi, mix.T @ x0, cfg)[1]
-               for lmi in (stacked, one)]
+    m_vec, a_vec, x0 = problem
+    reports = [_primal_dual_maximize(m_vec, a_vec, lmi, x0, cfg)[2] for lmi in lmis]
     assert all(r.converged for r in reports)
     assert abs(reports[0].optimum - reports[1].optimum) <= 1e-9
-    assert reports[0].dual_residual == reports[1].dual_residual
+    # <Z, S>_w is about 1e-9 and read off O(1) iterates: equal to rounding of the objective
+    scale = 1.0 + abs(reports[0].optimum)
+    assert abs(reports[0].dual_residual - reports[1].dual_residual) <= 1e-12 * scale
     assert reports[0].min_eig_slack == pytest.approx(reports[1].min_eig_slack, rel=1e-6, abs=1e-12)
     want = max(float(np.linalg.eigvalsh(m)[-1]) for m in objectives)
     assert -1e-9 <= want - reports[0].optimum <= reports[0].dual_residual + 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(*stacks)
+def test_dual_iterate_certifies_the_stack_optimum(d, weights, real, seed):
+    # the dual iterate Z is PSD, and _dual_bound at its blocks (P_b = Z_b, Q_b = 0: a
+    # 1-dimensional factor has no partial transpose) brackets max_b lambda_max(M_b)
+    objectives, problem, lmis = _random_stack(d, weights, real, seed)
+    want = max(float(np.linalg.eigvalsh(m)[-1]) for m in objectives)
+    blocks = [_Block(1, d, w, m) for w, m in zip(weights, objectives)]
+    m_vec, a_vec, x0 = problem
+    for lmi in lmis:
+        _, z, report = _primal_dual_maximize(m_vec, a_vec, lmi, x0, SolverConfig())
+        np.linalg.cholesky(z)
+        if len(z) == 1:  # one block-diagonal block: cut out its diagonal blocks
+            z = np.stack([z[0, b * d:(b + 1) * d, b * d:(b + 1) * d] for b in range(len(weights))])
+        bound = _dual_bound(blocks, list(z), list(np.zeros_like(z)))
+        slack = 1e-12 * (1.0 + abs(want))  # rounding of the value and of eigvalsh
+        assert bound + slack >= want >= report.optimum - slack
+        assert bound - report.optimum <= 1e-8 * (1.0 + abs(want))
 
 
 @settings(derandomize=True, deadline=None, max_examples=12)
