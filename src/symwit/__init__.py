@@ -58,7 +58,6 @@ from .optimize import (
     OptimizationError,
     PptProblem,
     PptResult,
-    PptScanResult,
     QScanResult,
     SolverConfig,
     SolverReport,

@@ -247,15 +247,13 @@ def _cmd_optimize_witness(args, cfg):
 def _cmd_ppt_max(args, cfg):
     objective = _ppt_objective(args)
     if args.bipartition:
-        part = _parse_bipartition(args.bipartition)
-        result = max_ppt(PptProblem(objective, part), cfg)
+        result = max_ppt(PptProblem(objective, _parse_bipartition(args.bipartition)), cfg)
     else:
         result = max_ppt_all(objective, cfg)
-        part = result.bipartition
     if not result.report.converged:
         raise OptimizationError("interior-point solver did not converge")
     _dump_json(args, {"value": result.value, "upper_bound": result.upper_bound,
-                      "bipartition": list(part), "report": result.report.to_json()})
+                      "bipartition": list(result.bipartition), "report": result.report.to_json()})
     return 0
 
 

@@ -17,9 +17,12 @@ certified duality gap; for a permutation-invariant objective the maximum
 is that of the best block per pair of part spins ``(j_A, j_B)`` (see
 :func:`max_ppt`), so at N=6 the largest solve is 16-square, not 64-square,
 and a block that conserves ``J_z^A + J_z^B`` is solved in its charge sectors.
+One walk, :func:`_scan_blocks`, lists the blocks of every bipartition in the
+order that ``max_ppt``, ``max_ppt_all`` and ``max_bisep_all`` take them,
+each skipping a block whose bound is below the best so far.
 ``max_bisep_seesaw`` and ``max_symmetric_product`` provide matching
 product-state lower bounds by batched alternating eigenvector updates (per
-spin block if permutation invariant), extrapolated where they converge
+spin block in ``max_bisep_all``), extrapolated where they converge
 slowly, and a Bloch-sphere grid search.
 """
 
@@ -60,7 +63,6 @@ __all__ = [
     "PptProblem",
     "PptResult",
     "max_ppt",
-    "PptScanResult",
     "max_ppt_all",
     "max_bisep_seesaw",
     "BisepResult",
@@ -514,6 +516,7 @@ class PptProblem:
 
 class PptResult(NamedTuple):
     value: float
+    bipartition: tuple[int, ...]
     rho: DenseOperator
     report: SolverReport
 
@@ -522,15 +525,6 @@ class PptResult(NamedTuple):
         """``value + report.dual_residual``: a certified upper bound on the PPT maximum
         (``value`` is attained by ``rho``, so it is a lower bound)."""
         return self.value + self.report.dual_residual
-
-
-class PptScanResult(NamedTuple):
-    value: float
-    bipartition: tuple[int, ...]
-    rho: DenseOperator
-    report: SolverReport
-
-    upper_bound = PptResult.upper_bound
 
 
 class BisepResult(NamedTuple):
@@ -542,13 +536,16 @@ class _Block(NamedTuple):
     """A diagonal block ``X_b`` of the state, repeated ``mult`` times, and the
     objective's block ``M_b``; the partial transpose acts on the ``dim_a`` factor.
     ``charge`` is the diagonal of ``J_z^A (x) 1 + 1 (x) J_z^B`` in the block's
-    basis (``None``: not known, so no charge sectors; see :func:`_ppt_block`)."""
+    basis (``None``: not known, so no charge sectors; see :func:`_ppt_block`);
+    ``top`` bounds ``Tr(M_b Y)`` over PPT states ``Y`` (see :func:`_blocks_by_top`;
+    ``inf``: not known, so the block is never skipped)."""
 
     dim_a: int
     dim_b: int
     mult: int
     objective: np.ndarray
     charge: np.ndarray | None = None
+    top: float = math.inf
 
 
 @lru_cache(maxsize=64)
@@ -648,7 +645,7 @@ def _charge_sectors(blk: _Block, real: bool) -> np.ndarray:
     return np.concatenate([np.ones(d, dtype=bool), same] + ([] if real else [same]))
 
 
-def _ppt_block(blk: _Block, cfg: SolverConfig, floor: float, top: float):
+def _ppt_block(blk: _Block, cfg: SolverConfig, floor: float):
     """``(Y, report)`` maximizing ``Tr(M_b Y)``, ``Tr Y = 1``, ``Y, Y^T_A > 0``, from ``Y = 1 / d``.
 
     ``Y`` and ``Y^T_A`` are the two blocks of one :class:`_Lmi`, so each
@@ -656,7 +653,7 @@ def _ppt_block(blk: _Block, cfg: SolverConfig, floor: float, top: float):
     basis elements of :func:`_charge_sectors`: when ``M_b`` commutes with the
     charge ``C = J_z^A + J_z^B``, twirling ``Y`` by the local unitaries
     ``exp(i t C)`` keeps both constraints and the value, so some optimum
-    commutes with ``C``.  ``dual_residual`` is the least of ``top`` and the
+    commutes with ``C``.  ``dual_residual`` is the least of ``blk.top`` and the
     :func:`_dual_bound` (with the full ``M_b``) at the engine's dual blocks
     ``Z_1``, ``Z_2`` of every iterate, minus the value; the solve stops once
     that bound is below ``floor - 1e-9 (1 + |floor|)``.
@@ -668,7 +665,7 @@ def _ppt_block(blk: _Block, cfg: SolverConfig, floor: float, top: float):
     unit = _herm_coords(np.eye(d, dtype=m_b.dtype)[None])[0][keep]
     lmi = _Lmi(np.ones((2, d)), _block_basis(blk.dim_a, blk.dim_b, real)[keep])
     cutoff = floor - 1e-9 * (1.0 + abs(floor))
-    least = top
+    least = blk.top
 
     def certify(x: np.ndarray, z: np.ndarray) -> bool:
         nonlocal least
@@ -680,38 +677,31 @@ def _ppt_block(blk: _Block, cfg: SolverConfig, floor: float, top: float):
     return lmi.matrix(x)[0], replace(report, dual_residual=least - report.optimum)
 
 
-def _ppt_blocks(
-    blocks: list[_Block], cfg: SolverConfig, floor: float = -math.inf
-) -> tuple[list[np.ndarray], SolverReport]:
+def _ppt_blocks(blocks: list[_Block], cfg: SolverConfig) -> tuple[list[np.ndarray], SolverReport]:
     """Maximize ``sum_b mult_b Tr(M_b X_b)`` over ``sum_b mult_b Tr(X_b) = 1``, X_b, X_b^T_A >= 0.
 
     With ``t_b = mult_b Tr X_b`` and ``Y_b = X_b / Tr X_b`` the objective is
     ``sum_b t_b Tr(M_b Y_b)``, so the maximum is the best block's own
     (:func:`_ppt_block`, in its charge sectors), returned as ``X_b = Y_b /
-    mult_b``, other blocks 0.  Blocks are solved in :func:`_blocks_by_top`
-    order with floor ``bound = max(floor, best so far)`` until the block's
-    ``top_b = min(lambda_max(M_b), lambda_max(M_b^T_A)) < bound - 1e-12 (1 + |bound|)``.
-    The first of the greatest value wins, with the greatest bound of any block
-    (``top_b`` if skipped) and the iterations of all; if all are
-    skipped, it is the top block's ``Y = 1 / d`` after 0 iterations.
+    mult_b``, other blocks 0.  Blocks are solved in the given order, each with
+    floor ``bound``, the best value so far, except that a block whose ``top <
+    bound - 1e-12 (1 + |bound|)`` is skipped.  The first of the greatest value
+    wins, with the greatest bound of any block (``top`` if skipped) and the
+    iterations of all.
     """
-    order = _blocks_by_top(blocks)
     best: tuple[int, np.ndarray, SolverReport] | None = None
     upper, steps = -math.inf, 0
-    for top, i in order:
-        bound = floor if best is None else max(floor, best[2].optimum)
-        if top < bound - 1e-12 * (1.0 + abs(bound)):
-            upper = max(upper, top)
-            break
-        y, report = _ppt_block(blocks[i], cfg, bound, top)
+    for i, blk in enumerate(blocks):
+        bound = -math.inf if best is None else best[2].optimum
+        if blk.top < bound - 1e-12 * (1.0 + abs(bound)):
+            upper = max(upper, blk.top)
+            continue
+        y, report = _ppt_block(blk, cfg, bound)
         upper = max(upper, report.optimum + report.dual_residual)
         steps += report.iterations
         if best is None or report.optimum > best[2].optimum:
             best = (i, y, report)
-    if best is None:
-        i, d = order[0][1], len(blocks[order[0][1]].objective)
-        value = float(np.real(np.trace(blocks[i].objective))) / d
-        best = (i, np.eye(d) / d, SolverReport(value, 0.0, 0.0, 1.0 / d, 0, False))
+    assert best is not None
     i, y, report = best
     x_blocks = [y / b.mult if j == i else np.zeros_like(b.objective) for j, b in enumerate(blocks)]
     return x_blocks, replace(report, dual_residual=upper - report.optimum, iterations=steps)
@@ -761,63 +751,30 @@ def _front_permutation(part: tuple[int, ...], num_qubits: int):
 
 
 def _objective_blocks(m: DenseOperator, part: tuple[int, ...], pi: bool):
-    """The embeddings ``(dim_a, dim_b, V)`` of :func:`max_ppt`, ``m``'s blocks (one unless pi)."""
+    """The embeddings ``(dim_a, dim_b, V)`` of :func:`max_ppt` and ``m``'s blocks (one unless
+    pi), both in :func:`_blocks_by_top` order, each block with its ``top``."""
     n = m.num_qubits
     k = len(part)
     if pi:  # J_z = m = j - i on spin state i of each factor
         embeddings = _spin_embeddings(n, k)
-        m_mat = m.mat
+        mats = [compress(m.mat, iso) for _, _, iso in embeddings]
         spin_m = [((d_a - 1) / 2 - np.arange(d_a), (d_b - 1) / 2 - np.arange(d_b))
                   for d_a, d_b, _ in embeddings]
     else:  # J_z = size / 2 - Hamming weight on each part
         embeddings = ((2**k, 2 ** (n - k), np.eye(2**n)[:, None, :]),)
-        m_mat = permute_qubits(m, _front_permutation(part, n)[0]).mat
+        mats = [permute_qubits(m, _front_permutation(part, n)[0]).mat]
         spin_m = [(k / 2 - _hamming_weights(k), (n - k) / 2 - _hamming_weights(n - k))]
-    blocks = [_Block(dim_a, dim_b, iso.shape[1], _herm(compress(m_mat, iso)),
-                     np.add.outer(m_a, m_b).ravel())
-              for (dim_a, dim_b, iso), (m_a, m_b) in zip(embeddings, spin_m)]
-    return embeddings, blocks
+    blocks = [_Block(dim_a, dim_b, iso.shape[1], _herm(mat), np.add.outer(m_a, m_b).ravel())
+              for (dim_a, dim_b, iso), mat, (m_a, m_b) in zip(embeddings, mats, spin_m)]
+    ranked = _blocks_by_top(blocks)
+    return [embeddings[i] for _, i in ranked], [blocks[i]._replace(top=top) for top, i in ranked]
 
 
-def max_ppt(
-    problem: PptProblem, config: SolverConfig | None = None, *, floor: float = -math.inf
-) -> PptResult:
-    """Maximum of ``Tr(M rho)`` over PPT states for one bipartition.
-
-    The part is first moved to the leading qubits.  A permutation-invariant
-    objective is invariant under permutations within each part, and so,
-    without loss of generality (twirling preserves both constraints), is the
-    optimal state: in the real Schur–Weyl basis of the two parts both are
-    direct sums of blocks labelled by the part spins ``(j_A, j_B)``, of size
-    ``(2 j_A + 1)(2 j_B + 1)`` and multiplicity the product of the spin
-    multiplicities, and the partial transpose maps each block to itself.
-    Any part of a given size then gives the same value.  The maximum is the
-    best block's: blocks are solved in descending ``min(lambda_max(M_b),
-    lambda_max(M_b^T_A))``, a bound on the block's PPT value, ties in block
-    order, until one is below the best so far (or ``floor``), and the first
-    of the greatest value wins (:func:`_ppt_blocks`).  Other objectives are
-    one dense block, refused above 5 qubits.  A block whose ``M_b`` conserves
-    ``J_z^A + J_z^B`` (``m = j - i`` on spin state ``i``, or each part's size
-    / 2 minus its Hamming weight in the dense block) is solved over its
-    charge sectors only (:func:`_ppt_block`).  ``rho`` is on the original
-    qubit order; ``upper_bound = value + dual_residual`` is an upper bound.
-
-    A finite ``floor`` lets blocks be skipped, or a solve stop once a dual
-    bound is below ``floor``: the result is then a feasible state below
-    ``floor``, unconverged.  One at least ``floor`` is, bit for bit, the one
-    without, but for fewer ``iterations``.
-    """
-    cfg = config or SolverConfig()
-    m, n = problem.objective, problem.objective.num_qubits
-    pi = is_permutation_invariant(m)
-    if not pi and n > 5:
-        raise OptimizationError("PPT maximization without permutation symmetry: 5 qubits at most")
-    embeddings, blocks = _objective_blocks(m, problem.bipartition, pi)
-    x_blocks, report = _ppt_blocks(blocks, cfg, floor=floor)
-    rho_mat = lift((iso, xb) for (_, _, iso), xb in zip(embeddings, x_blocks) if xb.any())
-    inverse = _front_permutation(problem.bipartition, n)[1]
-    rho = permute_qubits(DenseOperator(_herm(rho_mat)), inverse)
-    return PptResult(value=report.optimum, rho=rho, report=report)
+def _scan_blocks(objective: DenseOperator, parts: list[tuple[int, ...]], pi: bool):
+    """``(part index, V, block)`` for every block of every part of ``parts``, in that
+    order, each part's blocks in :func:`_blocks_by_top` order (see :func:`_objective_blocks`)."""
+    return [(index, iso, blk) for index, part in enumerate(parts)
+            for (_, _, iso), blk in zip(*_objective_blocks(objective, part, pi))]
 
 
 def _bipartitions(num_qubits: int, permutation_invariant: bool) -> list[tuple[int, ...]]:
@@ -834,32 +791,62 @@ def _bipartitions(num_qubits: int, permutation_invariant: bool) -> list[tuple[in
     return parts
 
 
-def max_ppt_all(
-    objective: DenseOperator, config: SolverConfig | None = None
-) -> PptScanResult:
+def _max_ppt(problem: PptProblem, every_part: bool, config: SolverConfig | None) -> PptResult:
+    """:func:`max_ppt` of ``problem``, or :func:`max_ppt_all` of its objective: one
+    :func:`_ppt_blocks` over the :func:`_scan_blocks` of the parts, and one lift of the winner."""
+    cfg = config or SolverConfig()
+    m, n = problem.objective, problem.objective.num_qubits
+    pi = is_permutation_invariant(m)
+    if not pi and n > 5:
+        raise OptimizationError("PPT maximization without permutation symmetry: 5 qubits at most")
+    parts = _bipartitions(n, pi) if every_part else [problem.bipartition]
+    entries = _scan_blocks(m, parts, pi)
+    x_blocks, report = _ppt_blocks([blk for _, _, blk in entries], cfg)
+    (index, iso, _), x = next((entry, x) for entry, x in zip(entries, x_blocks) if x.any())
+    inverse = _front_permutation(parts[index], n)[1]
+    rho = permute_qubits(DenseOperator(_herm(lift([(iso, x)]))), inverse)
+    return PptResult(report.optimum, parts[index], rho, report)
+
+
+def max_ppt(problem: PptProblem, config: SolverConfig | None = None) -> PptResult:
+    """Maximum of ``Tr(M rho)`` over PPT states for one bipartition.
+
+    The part is first moved to the leading qubits.  A permutation-invariant
+    objective is invariant under permutations within each part, and so,
+    without loss of generality (twirling preserves both constraints), is the
+    optimal state: in the real Schur–Weyl basis of the two parts both are
+    direct sums of blocks labelled by the part spins ``(j_A, j_B)``, of size
+    ``(2 j_A + 1)(2 j_B + 1)`` and multiplicity the product of the spin
+    multiplicities, and the partial transpose maps each block to itself.
+    Any part of a given size then gives the same value.  The maximum is the
+    best block's: blocks are taken in descending ``min(lambda_max(M_b),
+    lambda_max(M_b^T_A))``, a bound on the block's PPT value, ties in block
+    order; one whose bound is below the best so far is skipped, a solve
+    stops once its dual bound is, and the first of the greatest value wins
+    (:func:`_ppt_blocks`).  Other objectives are one dense block, refused
+    above 5 qubits.  A block whose ``M_b`` conserves ``J_z^A + J_z^B`` (``m =
+    j - i`` on spin state ``i``, or each part's size / 2 minus its Hamming
+    weight in the dense block) is solved over its charge sectors only
+    (:func:`_ppt_block`).  ``rho`` is on the original qubit order; ``upper_bound
+    = value + dual_residual`` is an upper bound, and ``iterations`` counts the
+    steps of every block solve.
+    """
+    return _max_ppt(problem, False, config)
+
+
+def max_ppt_all(objective: DenseOperator, config: SolverConfig | None = None) -> PptResult:
     """Maximum of ``Tr(M rho)`` over states PPT across at least one bipartition.
 
     States that mix over bipartitions cannot exceed the best single
     bipartition for a linear objective, so the scan over bipartitions is
-    exact.  Ties are resolved to the first bipartition in scan order
-    (ascending part size, lexicographic within a size): a later one must
-    be strictly greater.  So each later bipartition gets the running best
-    value as its ``floor`` and stops as soon as its dual bound falls below
-    it; a bipartition stopped this way could not have won.  The winner's
-    report comes with ``dual_residual`` raised to the greatest ``value +
-    dual_residual`` of any bipartition, minus ``value``: an upper bound on all.
+    exact.  It is one block scan of :func:`max_ppt` over the blocks of every
+    bipartition in turn (ascending part size, lexicographic within a size),
+    so a block of a later bipartition is skipped, or its solve stopped, as
+    soon as its bound is below the best so far, and ties go to the first
+    bipartition.  ``dual_residual`` is the greatest ``value +
+    dual_residual`` of any block, minus ``value``: an upper bound on all.
     """
-    cfg = config or SolverConfig()
-    best: PptScanResult | None = None
-    upper = -math.inf
-    for part in _bipartitions(objective.num_qubits, is_permutation_invariant(objective)):
-        floor = -math.inf if best is None else best.value
-        result = max_ppt(PptProblem(objective, part), cfg, floor=floor)
-        upper = max(upper, result.upper_bound)
-        if best is None or result.value > best.value:
-            best = PptScanResult(result.value, part, result.rho, result.report)
-    assert best is not None
-    return best._replace(report=replace(best.report, dual_residual=upper - best.value))
+    return _max_ppt(PptProblem(objective, (1,)), True, config)
 
 
 def _ppt_constant(objective: DenseOperator, config: SolverConfig | None = None) -> float:
@@ -984,36 +971,29 @@ def max_bisep_all(
     for a linear objective, so this lower-bounds the biseparable maximum and
     is tight when the seesaw finds the global optimum for each split.  The
     seesaw is the extrapolated one of :func:`_seesaw`: every value is still
-    attained by a product state, so the result stays a monotone lower bound.  A PI
-    objective is searched per ``(j_A, j_B)`` block of :func:`max_ppt` (the value is
-    bilinear in the parts' reduced block states) in :func:`_blocks_by_top` order
-    while the block's bound ``min(lambda_max(M_b), lambda_max(M_b^T_A))``, which no
-    product state exceeds, is above the best so far; a block with a 1-dimensional
-    factor is its ``lambda_max``.
+    attained by a product state, so the result stays a monotone lower bound.  It
+    walks the blocks of :func:`max_ppt_all`'s scan (the value is bilinear in the
+    parts' reduced block states; an objective that is not permutation invariant
+    is one block per part) and searches a block only while its bound
+    ``min(lambda_max(M_b), lambda_max(M_b^T_A))``, which no product state
+    exceeds, is above the best so far; a block with a 1-dimensional factor is
+    its ``lambda_max``.  Part ``i`` draws its starts from ``default_rng(seed + i)``.
     """
     cfg = config or SolverConfig()
     restarts = cfg.seesaw_restarts if restarts is None else restarts
     tol = cfg.seesaw_tol if tol is None else tol
-    best_value = -math.inf
-    best_part: tuple[int, ...] | None = None
     pi = is_permutation_invariant(objective)
-    for index, part in enumerate(_bipartitions(objective.num_qubits, pi)):
-        rng = np.random.default_rng(cfg.seed + index)
-        if not pi:
-            value = max_bisep_seesaw(objective, part, restarts, tol, cfg, rng)
-        else:
-            _, blocks = _objective_blocks(objective, part, pi)
-            value = -math.inf
-            for top, i in _blocks_by_top(blocks):
-                if top <= max(value, best_value):
-                    break
-                blk = blocks[i]
-                value = max(value, top if min(blk.dim_a, blk.dim_b) == 1 else
-                            _seesaw(blk.objective, blk.dim_a, blk.dim_b, restarts, tol, rng))
+    parts = _bipartitions(objective.num_qubits, pi)
+    rngs = [np.random.default_rng(cfg.seed + index) for index in range(len(parts))]
+    best_value, best_index = -math.inf, 0
+    for index, _, blk in _scan_blocks(objective, parts, pi):
+        if blk.top <= best_value:
+            continue
+        value = blk.top if min(blk.dim_a, blk.dim_b) == 1 else _seesaw(
+            blk.objective, blk.dim_a, blk.dim_b, restarts, tol, rngs[index])
         if value > best_value:
-            best_value, best_part = value, part
-    assert best_part is not None
-    return BisepResult(value=best_value, bipartition=best_part)
+            best_value, best_index = value, index
+    return BisepResult(value=best_value, bipartition=parts[best_index])
 
 
 def max_symmetric_product(

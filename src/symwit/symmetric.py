@@ -221,10 +221,19 @@ def symmetric_amplitudes(state: StateVector) -> np.ndarray | None:
 
 def compress(mat: np.ndarray, isometry: np.ndarray) -> np.ndarray:
     """``sum_c V_c^T A V_c / mult`` over the copies ``V_c = isometry[:, c, :]`` of one block:
-    ``Tr(W A) = sum_j mult_j Tr(W_j compress(A))`` for a PI ``W`` with blocks ``W_j``."""
+    ``Tr(W A) = sum_j mult_j Tr(W_j compress(A))`` for a PI ``W`` with blocks ``W_j``.
+
+    Only the ``mult`` diagonal copy blocks are formed, and a complex ``A`` is
+    taken as its real and imaginary parts, so the real isometry stays real."""
     full, mult, dim = isometry.shape
-    flat = isometry.reshape(full, mult * dim)
-    return np.einsum("cicj->ij", (flat.T @ mat @ flat).reshape(mult, dim, mult, dim)) / mult
+    flat, copies = isometry.reshape(full, mult * dim), isometry.transpose(1, 0, 2)
+
+    def diagonal_blocks(part: np.ndarray) -> np.ndarray:  # sum_c V_c^T part V_c
+        return ((flat.T @ part).reshape(mult, dim, full) @ copies).sum(axis=0)
+
+    if np.iscomplexobj(mat):
+        return (diagonal_blocks(mat.real) + 1j * diagonal_blocks(mat.imag)) / mult
+    return diagonal_blocks(mat) / mult
 
 
 def lift(pairs) -> np.ndarray:

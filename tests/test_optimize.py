@@ -170,18 +170,38 @@ def test_pruned_scan_matches_exhaustive_scan(objective):
     from symwit.optimize import _bipartitions
     from symwit.symmetric import is_permutation_invariant
 
-    best, upper = None, -math.inf
+    best, upper, steps = None, -math.inf, 0
     for part in _bipartitions(objective.num_qubits, is_permutation_invariant(objective)):
         result = max_ppt(PptProblem(objective, part))
         upper = max(upper, result.value + result.report.dual_residual)
+        steps += result.report.iterations
         if best is None or result.value > best[0]:
             best = (result.value, part, result.rho.mat.tobytes(), result.report)
     got = max_ppt_all(objective)
     assert (got.value, got.bipartition, got.rho.mat.tobytes()) == best[:3]
-    # the scan's gap covers every bipartition; a floor only saves Newton steps
+    # the scan's gap covers every bipartition; the running best only saves Newton
+    # steps, and the scan counts those of the bipartitions it stops early too
     report = dataclasses.replace(best[3], dual_residual=upper - best[0])
     assert got.report == dataclasses.replace(report, iterations=got.report.iterations)
-    assert got.report.iterations <= report.iterations
+    assert report.iterations <= got.report.iterations <= steps
+
+
+@pytest.mark.parametrize("objective", [
+    penalty_objective(4, 1, 0.0), penalty_objective(5, 2, 0.0), bell_pairs_projector(),
+], ids=["q0", "n5", "bell-pairs"])
+def test_scan_counts_every_newton_step(objective, monkeypatch):
+    import symwit.optimize as opt
+
+    taken = []
+    engine = opt._primal_dual_maximize
+
+    def counted(*args, **kwargs):
+        out = engine(*args, **kwargs)
+        taken.append(out[2].iterations)
+        return out
+
+    monkeypatch.setattr(opt, "_primal_dual_maximize", counted)
+    assert max_ppt_all(objective).report.iterations == sum(taken)
 
 
 def test_scan_gap_covers_every_bipartition():
@@ -199,29 +219,23 @@ def test_scan_gap_covers_every_bipartition():
 
 
 def test_floor_stops_a_losing_bipartition():
-    m = penalty_objective(4, 1, 0.0)
-    floor = max_ppt(PptProblem(m, (1,))).value
-    full = max_ppt(PptProblem(m, (1, 2)))
-    pruned = max_ppt(PptProblem(m, (1, 2)), floor=floor)
-    assert full.report.converged and full.value < floor
-    assert not pruned.report.converged
-    assert pruned.value < floor
-    assert pruned.report.iterations < full.report.iterations
-    rho = pruned.rho  # the point reached is still a PPT state
-    assert abs(rho.trace() - 1.0) < 1e-9
-    assert np.linalg.eigvalsh(partial_transpose(rho, (1, 2)).mat)[0] > -1e-9
+    # the best value of part (1,) is the floor of every block of part (1, 2)
+    from symwit.optimize import _batched_pt_front, _objective_blocks, _ppt_block
 
-
-def test_floor_above_every_block_returns_the_start_point():
     m = penalty_objective(4, 1, 0.0)
-    top = float(np.linalg.eigvalsh(m.mat)[-1])
-    result = max_ppt(PptProblem(m, (1,)), floor=top + 1.0)
-    report = result.report
-    assert not report.converged and report.iterations == 0
-    assert abs(result.value - float(np.real(np.trace(m.mat @ result.rho.mat)))) < 1e-12
-    assert abs(result.value + report.dual_residual - top) < 1e-12
-    assert abs(result.rho.trace() - 1.0) < 1e-12
-    assert np.linalg.eigvalsh(partial_transpose(result.rho, (1,)).mat)[0] > -1e-12
+    first, second = (max_ppt(PptProblem(m, part)) for part in ((1,), (1, 2)))
+    assert second.report.converged and second.value < first.value
+    scan = max_ppt_all(m)
+    assert scan.bipartition == (1,)
+    assert scan.report.iterations < first.report.iterations + second.report.iterations
+    blk = _objective_blocks(m, (1, 2), True)[1][0]
+    y, report = _ppt_block(blk, SolverConfig(), first.value)
+    assert not report.converged and report.optimum < first.value
+    assert report.optimum + report.dual_residual < first.value
+    # the point reached is still a PPT state of the block
+    assert abs(np.trace(y) - 1.0) < 1e-9
+    assert np.linalg.eigvalsh(y)[0] > -1e-9
+    assert np.linalg.eigvalsh(_batched_pt_front(y[None], blk.dim_a)[0])[0] > -1e-9
 
 
 PPT_THRESHOLD_GRID = [(4, 1, round(0.2 * k, 1)) for k in range(15)] + [(4, 1, 1.47), (5, 2, 0.0)]
@@ -297,8 +311,18 @@ def test_block_product_search_matches_the_dense_seesaw(key):
         assert abs(got - (3.5 + math.sqrt(3))) <= 1e-9
 
 
-def test_product_search_without_symmetry_is_the_dense_seesaw():
-    objective = random_real_objective(3, 5)
+def random_complex_objective(num_qubits: int, seed: int) -> DenseOperator:
+    rng = np.random.default_rng(seed)
+    shape = (2**num_qubits, 2**num_qubits)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return DenseOperator((raw + raw.conj().T) / 2)
+
+
+@pytest.mark.parametrize("objective", [
+    random_real_objective(3, 5), bell_pairs_projector(), random_complex_objective(3, 5),
+], ids=["random-real", "bell-pairs", "random-complex"])
+def test_product_search_without_symmetry_is_the_dense_seesaw(objective):
+    # an objective that is not permutation invariant is one block per part of the scan
     assert max_bisep_all(objective).value == _dense_bisep_all(objective)
 
 
