@@ -114,11 +114,15 @@ def _witness(args: argparse.Namespace) -> WitnessSpec:
     return catalog(args.witness, q=getattr(args, "q", None))
 
 
+def _check_noise_kind(witness: WitnessSpec, kind: str) -> None:
+    if kind != "white" and witness.num_qubits != 6:
+        raise ValueError("nonwhite noise is defined for 6-qubit witnesses only")
+
+
 def _noise_model(witness: WitnessSpec, kind: str) -> NoiseModel:
+    _check_noise_kind(witness, kind)
     if kind == "white":
         return NoiseModel.white(witness.num_qubits)
-    if witness.num_qubits != 6:
-        raise ValueError("nonwhite noise is defined for 6-qubit witnesses only")
     return NoiseModel.custom(nonwhite_noise_state(0.0))
 
 
@@ -299,11 +303,11 @@ def _cmd_fidelity_curve(args, cfg):
 def _cmd_simulate(args, cfg):
     witness = _witness(args)
     schedule = _read_schedule(args) or compile_operator(witness.dense)
-    noise = _noise_model(witness, args.noise)
-    if args.p == 0.0:
+    _check_noise_kind(witness, args.noise)
+    if args.p == 0.0:  # the noise model is never used
         state = witness.target
     else:
-        state = _noisy_state(witness, noise, args.p)
+        state = _noisy_state(witness, _noise_model(witness, args.noise), args.p)
     dataset = simulate_counts(state, schedule, args.shots, seed=cfg.seed)
     _write(args, dataset.to_ndjson())
     return 0

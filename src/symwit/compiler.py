@@ -435,16 +435,33 @@ def symmetrized_product_to_powers(cls: PauliClass, num_qubits: int) -> list[Loca
         c / (2^N i! j! m! r!) * sum (-1)^(a+b+e+d) C(i,a) C(j,b) C(m,e) C(r,d)
             * ((i-2a) sigma_x + (j-2b) sigma_y + (m-2e) sigma_z + (r-2d) 1)^{(x)N}
 
-    a combination of at most (i+1)(j+1)(m+1)(r+1) terms.
+    a combination of at most (i+1)(j+1)(m+1)(r+1) terms.  The terms of one
+    class shape are read from :func:`_polarization_rows` and scaled by the
+    class coefficient.
     """
     blocks = cls.blocks(num_qubits)
     base = cls.coefficient / (2**num_qubits * math.prod(map(math.factorial, blocks)))
-    terms: list[LocalTerm] = []
+    return [LocalTerm(base * weight * factor, setting, scale, w)
+            for weight, factor, setting, scale, w in _polarization_rows(blocks, num_qubits)]
+
+
+@lru_cache(maxsize=1024)
+def _polarization_rows(blocks: tuple[int, int, int, int], num_qubits: int) -> tuple[tuple, ...]:
+    """``(weight, factor, setting, scale, w)`` per term of one class shape, in expansion order.
+
+    The term of a class with ``base = c / (2^N i! j! m! r!)`` is
+    ``LocalTerm(base * weight * factor, setting, scale, w)``: ``factor`` is
+    what :func:`_canonical_term` makes of a unit coefficient (``-1`` for a
+    flipped direction on odd ``N``, ``w**N`` for a constant, else ``1``), so the
+    products round exactly as in a direct :func:`_canonical_term` call.
+    """
+    rows = []
     for minus in product(*(range(k + 1) for k in blocks)):
         weight = (-1) ** sum(minus) * math.prod(map(math.comb, blocks, minus))
         nx, ny, nz, w = (float(k - 2 * a) for k, a in zip(blocks, minus))
-        terms.append(_canonical_term(base * weight, (nx, ny, nz), w, num_qubits))
-    return terms
+        term = _canonical_term(1, (nx, ny, nz), w, num_qubits)
+        rows.append((weight, term.coefficient, term.setting, term.scale, term.identity_weight))
+    return tuple(rows)
 
 
 def compile_operator(a: DenseOperator) -> Schedule:

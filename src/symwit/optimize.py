@@ -50,8 +50,8 @@ from .symmetric import (
     permute_qubits,
     spin_blocks,
 )
-from .witnesses import (BasisTerm, NoiseModel, WitnessSpec, _basis_blocks, _critical_noise,
-                        _wi3_objective, _wi3_penalty)
+from .witnesses import (BasisTerm, NoiseModel, WitnessSpec, _basis_blocks, _block_expectation,
+                        _critical_noise, _wi3_objective, _wi3_penalty)
 
 __all__ = [
     "SolverConfig",
@@ -419,7 +419,8 @@ def optimize_witness(
                    for mult, (_, stack), r in zip(mults, problem.blocks, rho_blocks))
 
     t_vec = basis_traces([stack[nb] for _, stack in problem.blocks])
-    n_vec = basis_traces([compress(problem.noise.rho_noise.mat, iso) for iso, _ in problem.blocks])
+    n_vec = np.real(_block_expectation([(iso, stack[:nb]) for iso, stack in problem.blocks],
+                                       problem.noise))
     a_vec = np.append(-t_vec, 0.0)
     eyes = [np.eye(len(stack[0])) for _, stack in problem.blocks]
     traces = np.append(basis_traces(eyes), 1.0 - lambda_sq * dim)

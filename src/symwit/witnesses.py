@@ -198,6 +198,11 @@ class NoiseModel:
         if self.kind not in ("white", "custom"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         rho = self.rho_noise
+        if self.kind == "white":  # read as 1/2^N on every spin block, so it must be exactly that
+            if (np.count_nonzero(rho.mat) != rho.dim
+                    or not np.all(np.diagonal(rho.mat) == 1.0 / rho.dim)):
+                raise ValueError("white noise state is not the maximally mixed state")
+            return
         if not rho.is_hermitian(1e-10):
             raise ValueError("noise state is not Hermitian")
         if abs(rho.trace() - 1.0) > 1e-10:
@@ -497,15 +502,46 @@ def catalog(name: str, q: float | None = None) -> WitnessSpec:
 # evaluation helpers
 # ---------------------------------------------------------------------------
 
+def _block_expectation(blocks, state):
+    """``sum_j mult_j Tr(A_j rho_j)`` over the blocks ``(isometry, A_j)`` of a PI operator.
+
+    ``A_j`` may be a stack ``(k, d, d)`` of k operators, giving k values.  ``rho_j =
+    sum_c V_c^T rho V_c / mult`` is the state on one block: white noise
+    (a :class:`NoiseModel` of kind ``white``) is ``1/2^N`` on every block, a pure
+    :class:`StateVector` enters through its amplitudes ``a_c = V_c^T psi`` as
+    ``sum_c a_c a_c^dag / mult``, and any other state is compressed once, here.
+    """
+    if isinstance(state, NoiseModel):
+        state = None if state.kind == "white" else state.rho_noise
+    total = 0.0
+    for iso, a in blocks:
+        full, mult, dim = iso.shape
+        if state is None:
+            total = total + mult * np.einsum("...ii->...", a) / full
+            continue
+        if isinstance(state, StateVector):
+            flat = iso.reshape(full, mult * dim)
+            amps = (state.vec.real @ flat + 1j * (state.vec.imag @ flat)).reshape(mult, dim)
+            rho = amps.T @ amps.conj() / mult
+        else:
+            rho = compress(state.mat, iso)
+        total = total + mult * np.einsum("...ij,ji->...", a, rho)
+    return total
+
+
+def _witness_value(witness: WitnessSpec, state) -> float:
+    """``Tr(W rho)`` by :func:`_block_expectation`; refuses an imaginary residue."""
+    val = complex(_block_expectation(witness.blocks, state))
+    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
+        raise ValueError(f"expectation value has imaginary residue {val.imag:.3e}")
+    return val.real
+
+
 def expectation(witness: WitnessSpec, rho: DenseOperator) -> float:
     """``Tr(W rho)`` for a unit-trace ``rho``, as ``sum_j mult_j Tr(W_j rho_j)`` over the blocks."""
     if abs(rho.trace() - 1.0) > 1e-8:
         raise ValueError(f"rho has trace {rho.trace()!r}, expected 1")
-    val = complex(sum(iso.shape[1] * np.sum(w.T * compress(rho.mat, iso))
-                      for iso, w in witness.blocks))
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-        raise ValueError(f"expectation value has imaginary residue {val.imag:.3e}")
-    return val.real
+    return _witness_value(witness, rho)
 
 
 def noise_tolerance(
@@ -515,13 +551,12 @@ def noise_tolerance(
 
     For ``rho(p) = (1-p) rho + p rho_noise`` the witness detects the state
     for all ``p < p* = Tr(W rho) / (Tr(W rho) - Tr(W rho_noise))``, capped at 1.
+    ``rho`` defaults to the pure target, which is read in the spin blocks.
     """
-    if rho is None:
-        rho = witness.target.density()
-    value = expectation(witness, rho)
+    value = _witness_value(witness, witness.target) if rho is None else expectation(witness, rho)
     if value >= 0:
         raise ValueError(f"witness value {value!r} on rho is not negative")
-    return _critical_noise(value, expectation(witness, noise.rho_noise))
+    return _critical_noise(value, _witness_value(witness, noise))
 
 
 def _critical_noise(value: float, value_noise: float) -> float:
@@ -555,10 +590,11 @@ def fidelity_curves(witness: WitnessSpec, noise: NoiseModel, p_grid) -> np.ndarr
     grid = np.asarray(p_grid, dtype=float).reshape(-1)
     if grid.size == 0 or grid.min() < 0.0 or grid.max() > 1.0:
         raise ValueError("p_grid must be a nonempty grid inside [0, 1]")
-    target_rho = witness.target.density()
-    value_target = expectation(witness, target_rho)
-    value_noise = expectation(witness, noise.rho_noise)
-    fid_noise = target_rho.expectation(noise.rho_noise)
+    value_target = _witness_value(witness, witness.target)
+    value_noise = _witness_value(witness, noise)
+    projector = [(iso, stack[0])
+                 for iso, stack in _basis_blocks((BasisTerm("projector"),), witness.target)]
+    fid_noise = float(np.real(_block_expectation(projector, noise)))
     fid = (1.0 - grid) + grid * fid_noise
     values = (1.0 - grid) * value_target + grid * value_noise
     bound = np.array([fidelity_bound(witness, v) for v in values])

@@ -120,6 +120,21 @@ def test_simulate_then_evaluate_round_trip(capsys, tmp_path):
     assert payload["fidelity_bound"] is not None
 
 
+def test_simulate_checks_the_noise_kind_without_building_it_at_p0(capsys, monkeypatch):
+    import symwit.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("noise model built at p=0")
+
+    monkeypatch.setattr(symwit.cli.NoiseModel, "white", refuse)
+    code, out, _ = run(capsys, "simulate", "--witness", "WP3_D42", "--shots", "10", "--p", "0")
+    assert code == 0 and out
+    code, _, err = run(capsys, "simulate", "--witness", "WP3_D42", "--shots", "10", "--p", "0",
+                       "--noise", "nonwhite")
+    assert code == 3
+    assert "nonwhite noise is defined for 6-qubit witnesses only" in err
+
+
 def test_simulate_is_seed_deterministic(capsys, tmp_path):
     a, b, c = (tmp_path / name for name in ("a.ndjson", "b.ndjson", "c.ndjson"))
     for path, seed in ((a, "3"), (b, "3"), (c, "4")):

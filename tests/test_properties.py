@@ -1,18 +1,22 @@
-"""Property tests: canonical setting keys, sign-flip round trips, Born
+"""Property tests: canonical setting keys, sign-flip round trips, the
+cached polarization rows of the compiler, Born
 probabilities, bootstrap determinism, the witness certificate and the PPT
 dual bound, the primal-dual engine on a stack of matrix inequalities and
 the extrapolated seesaw."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symwit.compiler import LocalTerm, Schedule, Setting
+from symwit.compiler import (LocalTerm, Schedule, Setting, _canonical_term, compile_operator,
+                             pauli_decompose)
 from symwit.counts import CountRecord, CountsDataset, _born_probabilities, evaluate_counts
 from symwit.linalg import DenseOperator, StateVector, identity, op_power
 from symwit.optimize import (
@@ -36,7 +40,7 @@ from symwit.optimize import (
     optimize_witness,
     q_scan,
 )
-from symwit.symmetric import collective_j, dicke
+from symwit.symmetric import collective_j, dicke, symmetrize
 from symwit.witnesses import NoiseModel, noise_tolerance, wi3_witness
 
 reproducible = settings(derandomize=True, deadline=None, max_examples=100)
@@ -73,6 +77,37 @@ def test_parse_reads_a_serialized_setting_back_unchanged(v):
     assert Schedule.from_json(schedule.to_json()).terms[0].setting.unit == setting.unit
     data = CountsDataset(1, (CountRecord(setting, "+", 1),))
     assert CountsDataset.from_ndjson(data.to_ndjson()).records[0].setting.unit == setting.unit
+
+
+def _reference_schedule(op: DenseOperator) -> Schedule:
+    """The polarization expansion of every Pauli class, one :func:`_canonical_term` per raw term."""
+    n = op.num_qubits
+    terms = []
+    for cls in pauli_decompose(op).classes:
+        blocks = cls.blocks(n)
+        base = cls.coefficient / (2**n * math.prod(map(math.factorial, blocks)))
+        for minus in itertools.product(*(range(k + 1) for k in blocks)):
+            weight = (-1) ** sum(minus) * math.prod(map(math.comb, blocks, minus))
+            nx, ny, nz, w = (float(k - 2 * a) for k, a in zip(blocks, minus))
+            terms.append(_canonical_term(base * weight, (nx, ny, nz), w, n))
+    return Schedule(n, terms).merged()
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.integers(2, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_compile_from_cached_rows_is_the_per_term_expansion(n, real, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((2**n, 2**n))
+    if not real:
+        raw = raw + 1j * rng.standard_normal((2**n, 2**n))
+    op = symmetrize(DenseOperator((raw + raw.conj().T) / 2)).hermitized()
+    want = _reference_schedule(op).to_json()
+    schedule = compile_operator(op)
+    assert schedule.to_json() == want
+    # the cache holds rows, not terms: a mutated schedule leaves the next compile unchanged
+    schedule.terms.reverse()
+    schedule.terms[0] = LocalTerm(123.0, Setting.from_ints((1, 2, 3)), 1.0, 0.0)
+    assert compile_operator(op).to_json() == want
 
 
 def _flip_entry(entry):

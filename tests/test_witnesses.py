@@ -18,6 +18,8 @@ from symwit.witnesses import (
     BasisTerm,
     NoiseModel,
     WitnessSpec,
+    _block_expectation,
+    _witness_value,
     catalog,
     expectation,
     fidelity_bound,
@@ -212,6 +214,10 @@ def test_noise_model_validation():
         NoiseModel.custom(DenseOperator(np.eye(4)))  # trace 4, not a state
     white = NoiseModel.white(3)
     assert abs(white.rho_noise.trace() - 1.0) < 1e-12
+    # white noise is read as 1/2^N on every spin block, so no other state may carry the kind
+    with pytest.raises(ValueError, match="maximally mixed"):
+        NoiseModel("white", dicke(3, 1).density())
+    NoiseModel("custom", DenseOperator(np.eye(8) / 8))
 
 
 @pytest.mark.parametrize("min_eig, accepted", [(-2e-10, False), (-5e-11, True)])
@@ -341,3 +347,61 @@ def test_non_finite_witness_data_is_refused(field, value):
         payload["basis_terms"][1][field] = value
     with pytest.raises(ValueError):
         WitnessSpec.from_json(json.dumps(payload))
+
+
+def _block_cases(w: WitnessSpec):
+    """The states the block path reads, with their dense density matrices."""
+    n = w.num_qubits
+    noises = [NoiseModel.white(n)]
+    if n == 6:
+        noises.append(NoiseModel.custom(nonwhite_noise_state(0.0)))
+    return [(w.target, w.target.density().mat)] + [(x, x.rho_noise.mat) for x in noises]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_block_expectation_is_the_dense_trace(name):
+    # the pure target enters through its amplitudes and white noise as 1/2^N per block
+    w = catalog(name)
+    for state, rho in _block_cases(w):
+        assert abs(_witness_value(w, state) - float(np.real(np.trace(w.dense.mat @ rho)))) <= 1e-12
+
+
+def test_block_expectation_on_a_target_outside_the_symmetric_subspace():
+    rng = np.random.default_rng(41)
+    target = StateVector.normalized(rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    basis = (BasisTerm("identity"), BasisTerm("projector"), BasisTerm("collective", "y", 2))
+    w = WitnessSpec("asymmetric", 4, basis, (0.4, -1.0, 0.1), target)
+    assert len(w.blocks) == 1  # one dense block
+    raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    custom = NoiseModel.custom(DenseOperator(raw @ raw.conj().T / np.trace(raw @ raw.conj().T)))
+    for state, rho in _block_cases(w) + [(custom, custom.rho_noise.mat)]:
+        assert abs(_witness_value(w, state) - float(np.real(np.trace(w.dense.mat @ rho)))) <= 1e-12
+    stack = [(iso, np.stack([a, 2 * a])) for iso, a in w.blocks]  # a stack gives one value each
+    want = np.array([1, 2]) * _witness_value(w, custom)
+    assert np.allclose(_block_expectation(stack, custom), want, atol=1e-12)
+
+
+def test_noise_tolerance_of_a_dense_rho_is_the_dense_formula():
+    w = catalog("WP3_D63")
+    noise = NoiseModel.custom(nonwhite_noise_state(0.0))
+    rho = 0.9 * w.target.density().mat + 0.1 * NoiseModel.white(6).rho_noise.mat
+    value = float(np.real(np.trace(w.dense.mat @ rho)))
+    value_noise = float(np.real(np.trace(w.dense.mat @ noise.rho_noise.mat)))
+    want = value / (value - value_noise)
+    assert abs(noise_tolerance(w, noise, rho=DenseOperator(rho)) - want) <= 1e-12
+
+
+def test_pi_tolerance_builds_no_dense_state(monkeypatch):
+    # the pure target and the white noise are read in the spin blocks, never as 2^N x 2^N states
+    import symwit.symmetric
+    import symwit.witnesses
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense state on the PI tolerance path")
+
+    spec = catalog("WP3_D105")
+    noise = NoiseModel.white(10)
+    monkeypatch.setattr(StateVector, "density", refuse)
+    monkeypatch.setattr(symwit.symmetric, "compress", refuse)
+    monkeypatch.setattr(symwit.witnesses, "compress", refuse)
+    assert round(noise_tolerance(spec, noise), 4) == 0.2404
