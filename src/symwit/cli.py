@@ -47,11 +47,11 @@ from .witnesses import (
     NoiseModel,
     WitnessSpec,
     catalog,
-    expectation,
     fidelity_curves,
     noise_tolerance,
     nonwhite_noise_state,
     _wi3_objective,
+    _witness_value,
 )
 
 _GLOBALS = (
@@ -126,9 +126,13 @@ def _noise_model(witness: WitnessSpec, kind: str) -> NoiseModel:
     return NoiseModel.custom(nonwhite_noise_state(0.0))
 
 
-def _noisy_state(witness: WitnessSpec, noise: NoiseModel, p: float) -> DenseOperator:
+def _check_fraction(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError("noise fraction p must lie in [0, 1]")
+
+
+def _noisy_state(witness: WitnessSpec, noise: NoiseModel, p: float) -> DenseOperator:
+    _check_fraction(p)
     rho_t = witness.target.density()
     return DenseOperator((1.0 - p) * rho_t.mat + p * noise.rho_noise.mat)
 
@@ -204,8 +208,10 @@ def _cmd_witness_show(args, cfg):
 def _cmd_witness_eval(args, cfg):
     witness = _witness(args)
     noise = _noise_model(witness, args.noise)
-    rho = _noisy_state(witness, noise, args.p)
-    value = expectation(witness, rho)
+    _check_fraction(args.p)
+    # Tr(W rho(p)) is affine in p, and both ends are read in the spin blocks
+    value = ((1.0 - args.p) * _witness_value(witness, witness.target)
+             + args.p * _witness_value(witness, noise))
     _dump_json(args, {"witness": witness.name, "noise": args.noise, "p": args.p,
                       "value": value})
     return 0
@@ -263,11 +269,13 @@ def _cmd_ppt_max(args, cfg):
 
 def _cmd_bisep_max(args, cfg):
     objective = _ppt_objective(args)
+    if args.restarts is not None:
+        cfg = dataclasses.replace(cfg, seesaw_restarts=args.restarts)
     if args.bipartition:
         part = _parse_bipartition(args.bipartition)
-        value = max_bisep_seesaw(objective, part, restarts=args.restarts, config=cfg)
+        value = max_bisep_seesaw(objective, part, cfg)
     else:
-        value, part = max_bisep_all(objective, restarts=args.restarts, config=cfg)
+        value, part = max_bisep_all(objective, cfg)
     _dump_json(args, {"value": value, "bipartition": list(part)})
     return 0
 

@@ -524,6 +524,15 @@ def _axis_letter(axis) -> str:
     raise ValueError(f"axis must be 'x', 'y', 'z' or identity ('0'), got {axis!r}")
 
 
+def _mermin_axes(a, b) -> tuple[str, str]:
+    la, lb = _axis_letter(a), _axis_letter(b)
+    if lb == "i":
+        raise ValueError("second axis must be a Pauli axis")
+    if la == lb:
+        raise ValueError("axes must differ")
+    return la, lb
+
+
 def mermin_operator(num_qubits: int, a, b) -> DenseOperator:
     """Mermin-type operator: alternating even-a-count Pauli sums.
 
@@ -533,11 +542,7 @@ def mermin_operator(num_qubits: int, a, b) -> DenseOperator:
     polynomial in the single direction ``b``.
     """
     n = int(num_qubits)
-    la, lb = _axis_letter(a), _axis_letter(b)
-    if lb == "i":
-        raise ValueError("second axis must be a Pauli axis")
-    if la == lb:
-        raise ValueError("axes must differ")
+    la, lb = _mermin_axes(a, b)
     dim = 2**n
     total = np.zeros((dim, dim), dtype=complex)
     for k in range(0, n + 1, 2):
@@ -558,11 +563,7 @@ def mermin_decomposition(num_qubits: int, a, b) -> Schedule:
     weight and a single setting along ``b`` suffices.
     """
     n = int(num_qubits)
-    la, lb = _axis_letter(a), _axis_letter(b)
-    if lb == "i":
-        raise ValueError("second axis must be a Pauli axis")
-    if la == lb:
-        raise ValueError("axes must differ")
+    la, lb = _mermin_axes(a, b)
     prefactor = Fraction(2 ** (n - 1), n)
     schedule = Schedule(n)
     for k in range(1, n + 1):

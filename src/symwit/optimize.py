@@ -91,7 +91,9 @@ class SolverConfig:
     ``barrier_tol`` is the final mu, the mean complementarity ``<Z, S>_w /
     sum(w)``, of the primal-dual engine that fits witnesses and maximizes
     over PPT states (see :class:`SolverReport` for the duality gap); the
-    seesaw fields control the random-restart product-state search.  All
+    seesaw fields and ``seed`` are the only settings of the product-state
+    searches (:func:`max_bisep_seesaw`, :func:`max_bisep_all`,
+    :func:`max_symmetric_product`), which take no settings of their own.  All
     randomness flows from ``seed`` through explicit generators, so runs are
     reproducible.
     """
@@ -308,15 +310,10 @@ def collective_power_basis(
     number) for each requested axis; odd powers are excluded by default since
     they vanish on the states of interest, but can be switched on.
     """
-    if max_power is None:
-        max_power = num_qubits
-    start = 1 if include_odd else 2
     step = 1 if include_odd else 2
-    terms = [BasisTerm("identity")]
-    for power in range(start, max_power + 1, step):
-        for axis in axes:
-            terms.append(BasisTerm("collective", axis=axis, power=power))
-    return tuple(terms)
+    powers = range(step, (num_qubits if max_power is None else max_power) + 1, step)
+    return (BasisTerm("identity"),) + tuple(
+        BasisTerm("collective", axis=axis, power=power) for power in powers for axis in axes)
 
 
 @dataclass(frozen=True)
@@ -493,6 +490,11 @@ def _proper_part(bipartition, num_qubits: int) -> tuple[int, ...]:
     return part
 
 
+def _check_hermitian(objective: DenseOperator, kind: str) -> None:
+    if not objective.is_hermitian(1e-10):
+        raise ValueError(f"{kind} objective must be Hermitian")
+
+
 @dataclass(frozen=True)
 class PptProblem:
     """Maximize ``Tr(M rho)`` over states PPT across one bipartition.
@@ -507,8 +509,7 @@ class PptProblem:
     bipartition: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.objective.is_hermitian(1e-10):
-            raise ValueError("PPT objective must be Hermitian")
+        _check_hermitian(self.objective, "PPT")
         n = self.objective.num_qubits
         if n > PPT_MAX_QUBITS:
             raise ValueError(f"PPT maximization is limited to {PPT_MAX_QUBITS} qubits")
@@ -538,7 +539,7 @@ class _Block(NamedTuple):
     objective's block ``M_b``; the partial transpose acts on the ``dim_a`` factor.
     ``charge`` is the diagonal of ``J_z^A (x) 1 + 1 (x) J_z^B`` in the block's
     basis (``None``: not known, so no charge sectors; see :func:`_ppt_block`);
-    ``top`` bounds ``Tr(M_b Y)`` over PPT states ``Y`` (see :func:`_blocks_by_top`;
+    ``top`` bounds ``Tr(M_b Y)`` over PPT states ``Y`` (see :func:`_top`;
     ``inf``: not known, so the block is never skipped)."""
 
     dim_a: int
@@ -678,17 +679,17 @@ def _ppt_block(blk: _Block, cfg: SolverConfig, floor: float):
     return lmi.matrix(x)[0], replace(report, dual_residual=least - report.optimum)
 
 
-def _ppt_blocks(blocks: list[_Block], cfg: SolverConfig) -> tuple[list[np.ndarray], SolverReport]:
+def _ppt_blocks(blocks: list[_Block], cfg: SolverConfig) -> tuple[int, np.ndarray, SolverReport]:
     """Maximize ``sum_b mult_b Tr(M_b X_b)`` over ``sum_b mult_b Tr(X_b) = 1``, X_b, X_b^T_A >= 0.
 
     With ``t_b = mult_b Tr X_b`` and ``Y_b = X_b / Tr X_b`` the objective is
     ``sum_b t_b Tr(M_b Y_b)``, so the maximum is the best block's own
-    (:func:`_ppt_block`, in its charge sectors), returned as ``X_b = Y_b /
-    mult_b``, other blocks 0.  Blocks are solved in the given order, each with
-    floor ``bound``, the best value so far, except that a block whose ``top <
-    bound - 1e-12 (1 + |bound|)`` is skipped.  The first of the greatest value
-    wins, with the greatest bound of any block (``top`` if skipped) and the
-    iterations of all.
+    (:func:`_ppt_block`, in its charge sectors), returned as its index ``b``
+    and ``Y_b`` (``X_b = Y_b / mult_b``, other blocks 0).  Blocks are solved
+    in the given order, each with floor ``bound``, the best value so far,
+    except that a block whose ``top < bound - 1e-12 (1 + |bound|)`` is
+    skipped.  The first of the greatest value wins, with the greatest bound of
+    any block (``top`` if skipped) and the iterations of all.
     """
     best: tuple[int, np.ndarray, SolverReport] | None = None
     upper, steps = -math.inf, 0
@@ -704,26 +705,18 @@ def _ppt_blocks(blocks: list[_Block], cfg: SolverConfig) -> tuple[list[np.ndarra
             best = (i, y, report)
     assert best is not None
     i, y, report = best
-    x_blocks = [y / b.mult if j == i else np.zeros_like(b.objective) for j, b in enumerate(blocks)]
-    return x_blocks, replace(report, dual_residual=upper - report.optimum, iterations=steps)
+    return i, y, replace(report, dual_residual=upper - report.optimum, iterations=steps)
 
 
-def _blocks_by_top(blocks: list[_Block]) -> list[tuple[float, int]]:
-    """``(top_b, b)`` per block in descending ``top_b``, ties in block order.
-
-    ``top_b = min(lambda_max(M_b), lambda_max(M_b^T_A))`` bounds ``Tr(M_b Y)``
-    over PPT (so also product) states ``Y``: ``Tr(M Y) = Tr(M^T_A Y^T_A)``
-    with ``Y^T_A >= 0`` of unit trace.  With a 1-dimensional factor
-    ``M_b^T_A`` is ``M_b`` or its transpose, and ``top_b = lambda_max(M_b)``.
-    """
-    tops = []
-    for blk in blocks:
-        top = float(np.linalg.eigvalsh(blk.objective)[-1])
-        if min(blk.dim_a, blk.dim_b) > 1:
-            m_pt = _batched_pt_front(blk.objective[None], blk.dim_a)[0]
-            top = min(top, float(np.linalg.eigvalsh(m_pt)[-1]))
-        tops.append(top)
-    return sorted(zip(tops, range(len(blocks))), key=lambda pair: -pair[0])
+def _top(m_b: np.ndarray, dim_a: int, dim_b: int) -> float:
+    """``min(lambda_max(M_b), lambda_max(M_b^T_A))``, a bound on ``Tr(M_b Y)`` over PPT
+    (so also product) states ``Y``: ``Tr(M Y) = Tr(M^T_A Y^T_A)`` with ``Y^T_A >= 0`` of
+    unit trace.  With a 1-dimensional factor ``M_b^T_A`` is ``M_b`` or its transpose,
+    and the bound is ``lambda_max(M_b)``."""
+    top = float(np.linalg.eigvalsh(m_b)[-1])
+    if min(dim_a, dim_b) > 1:
+        top = min(top, float(np.linalg.eigvalsh(_batched_pt_front(m_b[None], dim_a)[0])[-1]))
+    return top
 
 
 @lru_cache(maxsize=16)
@@ -751,31 +744,29 @@ def _front_permutation(part: tuple[int, ...], num_qubits: int):
     return tuple(order.index(q) + 1 for q in range(1, num_qubits + 1)), tuple(order)
 
 
-def _objective_blocks(m: DenseOperator, part: tuple[int, ...], pi: bool):
-    """The embeddings ``(dim_a, dim_b, V)`` of :func:`max_ppt` and ``m``'s blocks (one unless
-    pi), both in :func:`_blocks_by_top` order, each block with its ``top``."""
-    n = m.num_qubits
-    k = len(part)
-    if pi:  # J_z = m = j - i on spin state i of each factor
-        embeddings = _spin_embeddings(n, k)
-        mats = [compress(m.mat, iso) for _, _, iso in embeddings]
-        spin_m = [((d_a - 1) / 2 - np.arange(d_a), (d_b - 1) / 2 - np.arange(d_b))
-                  for d_a, d_b, _ in embeddings]
-    else:  # J_z = size / 2 - Hamming weight on each part
-        embeddings = ((2**k, 2 ** (n - k), np.eye(2**n)[:, None, :]),)
-        mats = [permute_qubits(m, _front_permutation(part, n)[0]).mat]
-        spin_m = [(k / 2 - _hamming_weights(k), (n - k) / 2 - _hamming_weights(n - k))]
-    blocks = [_Block(dim_a, dim_b, iso.shape[1], _herm(mat), np.add.outer(m_a, m_b).ravel())
-              for (dim_a, dim_b, iso), mat, (m_a, m_b) in zip(embeddings, mats, spin_m)]
-    ranked = _blocks_by_top(blocks)
-    return [embeddings[i] for _, i in ranked], [blocks[i]._replace(top=top) for top, i in ranked]
-
-
 def _scan_blocks(objective: DenseOperator, parts: list[tuple[int, ...]], pi: bool):
     """``(part index, V, block)`` for every block of every part of ``parts``, in that
-    order, each part's blocks in :func:`_blocks_by_top` order (see :func:`_objective_blocks`)."""
-    return [(index, iso, blk) for index, part in enumerate(parts)
-            for (_, _, iso), blk in zip(*_objective_blocks(objective, part, pi))]
+    order, each part's blocks in descending ``top``, ties in block order: the spin
+    blocks of :func:`_spin_embeddings` if ``pi``, else one dense block, with the part
+    moved to the leading qubits."""
+    n = objective.num_qubits
+    entries = []
+    for index, part in enumerate(parts):
+        k = len(part)
+        if pi:  # J_z = m = j - i on spin state i of each factor
+            embeddings = _spin_embeddings(n, k)
+            mats = [_herm(compress(objective.mat, iso)) for _, _, iso in embeddings]
+            spin_m = [((d_a - 1) / 2 - np.arange(d_a), (d_b - 1) / 2 - np.arange(d_b))
+                      for d_a, d_b, _ in embeddings]
+        else:  # J_z = size / 2 - Hamming weight on each part
+            embeddings = ((2**k, 2 ** (n - k), np.eye(2**n)[:, None, :]),)
+            mats = [_herm(permute_qubits(objective, _front_permutation(part, n)[0]).mat)]
+            spin_m = [(k / 2 - _hamming_weights(k), (n - k) / 2 - _hamming_weights(n - k))]
+        blocks = [(index, iso, _Block(d_a, d_b, iso.shape[1], m_b, np.add.outer(*z).ravel(),
+                                      _top(m_b, d_a, d_b)))
+                  for (d_a, d_b, iso), m_b, z in zip(embeddings, mats, spin_m)]
+        entries += sorted(blocks, key=lambda entry: -entry[2].top)
+    return entries
 
 
 def _bipartitions(num_qubits: int, permutation_invariant: bool) -> list[tuple[int, ...]]:
@@ -783,13 +774,8 @@ def _bipartitions(num_qubits: int, permutation_invariant: bool) -> list[tuple[in
     n = num_qubits
     if permutation_invariant:
         return [tuple(range(1, k + 1)) for k in range(1, n // 2 + 1)]
-    parts = []
-    for k in range(1, n // 2 + 1):
-        for combo in itertools.combinations(range(1, n + 1), k):
-            if 2 * k == n and combo[0] != 1:
-                continue
-            parts.append(combo)
-    return parts
+    return [combo for k in range(1, n // 2 + 1)
+            for combo in itertools.combinations(range(1, n + 1), k) if 2 * k < n or combo[0] == 1]
 
 
 def _max_ppt(problem: PptProblem, every_part: bool, config: SolverConfig | None) -> PptResult:
@@ -802,10 +788,10 @@ def _max_ppt(problem: PptProblem, every_part: bool, config: SolverConfig | None)
         raise OptimizationError("PPT maximization without permutation symmetry: 5 qubits at most")
     parts = _bipartitions(n, pi) if every_part else [problem.bipartition]
     entries = _scan_blocks(m, parts, pi)
-    x_blocks, report = _ppt_blocks([blk for _, _, blk in entries], cfg)
-    (index, iso, _), x = next((entry, x) for entry, x in zip(entries, x_blocks) if x.any())
+    win, y, report = _ppt_blocks([blk for _, _, blk in entries], cfg)
+    index, iso, blk = entries[win]
     inverse = _front_permutation(parts[index], n)[1]
-    rho = permute_qubits(DenseOperator(_herm(lift([(iso, x)]))), inverse)
+    rho = permute_qubits(DenseOperator(_herm(lift([(iso, y / blk.mult)]))), inverse)
     return PptResult(report.optimum, parts[index], rho, report)
 
 
@@ -864,14 +850,8 @@ def _ppt_constant(objective: DenseOperator, config: SolverConfig | None = None) 
 # ---------------------------------------------------------------------------
 
 
-def max_bisep_seesaw(
-    objective: DenseOperator,
-    bipartition,
-    restarts: int | None = None,
-    tol: float | None = None,
-    config: SolverConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
+def max_bisep_seesaw(objective: DenseOperator, bipartition,
+                     config: SolverConfig | None = None) -> float:
     """Best product-state value ``max <a(x)b| M |a(x)b>`` across one bipartition.
 
     Alternates exact eigenvector updates of the two factors from random
@@ -879,16 +859,16 @@ def max_bisep_seesaw(
     linearly converging iterates, kept only if it raises the value (see
     :func:`_seesaw`).  Each restart's value is nondecreasing and attained
     by an explicit product state, so the final value is a certified lower
-    bound on the biseparable maximum.
+    bound on the biseparable maximum.  ``config`` sets the restarts, the
+    stopping tolerance and the seed of the starts.
     """
     cfg = config or SolverConfig()
-    restarts = cfg.seesaw_restarts if restarts is None else restarts
-    tol = cfg.seesaw_tol if tol is None else tol
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
+    _check_hermitian(objective, "product-state")
     n = objective.num_qubits
     part = _proper_part(bipartition, n)
     m = permute_qubits(objective, _front_permutation(part, n)[0])
-    return _seesaw(m.mat, 2 ** len(part), 2 ** (n - len(part)), restarts, tol, rng)
+    return _seesaw(m.mat, 2 ** len(part), 2 ** (n - len(part)), cfg.seesaw_restarts,
+                   cfg.seesaw_tol, np.random.default_rng(cfg.seed))
 
 
 # A restart tries one extrapolated sweep every _EXTRAPOLATE_EVERY plain ones, when
@@ -960,12 +940,7 @@ def _seesaw(mat: np.ndarray, dim_a: int, dim_b: int, restarts: int, tol: float, 
     return float(np.max(values, initial=-math.inf))
 
 
-def max_bisep_all(
-    objective: DenseOperator,
-    restarts: int | None = None,
-    tol: float | None = None,
-    config: SolverConfig | None = None,
-) -> BisepResult:
+def max_bisep_all(objective: DenseOperator, config: SolverConfig | None = None) -> BisepResult:
     """Best product-state value over all bipartitions, with the achiever.
 
     Mixtures of biseparable states cannot exceed the best pure product state
@@ -973,16 +948,16 @@ def max_bisep_all(
     is tight when the seesaw finds the global optimum for each split.  The
     seesaw is the extrapolated one of :func:`_seesaw`: every value is still
     attained by a product state, so the result stays a monotone lower bound.  It
-    walks the blocks of :func:`max_ppt_all`'s scan (the value is bilinear in the
-    parts' reduced block states; an objective that is not permutation invariant
-    is one block per part) and searches a block only while its bound
-    ``min(lambda_max(M_b), lambda_max(M_b^T_A))``, which no product state
-    exceeds, is above the best so far; a block with a 1-dimensional factor is
-    its ``lambda_max``.  Part ``i`` draws its starts from ``default_rng(seed + i)``.
+    walks the blocks of :func:`max_ppt_all`'s scan, :func:`_scan_blocks` (the
+    value is bilinear in the parts' reduced block states; an objective that is
+    not permutation invariant is one block per part) and searches a block only
+    while its ``top``, :func:`_top`, which no product state exceeds, is above
+    the best so far; a block with a 1-dimensional factor is its ``top``.  The
+    restarts and tolerance are ``config``'s, and part ``i`` draws its starts
+    from ``default_rng(seed + i)``.
     """
     cfg = config or SolverConfig()
-    restarts = cfg.seesaw_restarts if restarts is None else restarts
-    tol = cfg.seesaw_tol if tol is None else tol
+    _check_hermitian(objective, "product-state")
     pi = is_permutation_invariant(objective)
     parts = _bipartitions(objective.num_qubits, pi)
     rngs = [np.random.default_rng(cfg.seed + index) for index in range(len(parts))]
@@ -991,30 +966,24 @@ def max_bisep_all(
         if blk.top <= best_value:
             continue
         value = blk.top if min(blk.dim_a, blk.dim_b) == 1 else _seesaw(
-            blk.objective, blk.dim_a, blk.dim_b, restarts, tol, rngs[index])
+            blk.objective, blk.dim_a, blk.dim_b, cfg.seesaw_restarts, cfg.seesaw_tol, rngs[index])
         if value > best_value:
             best_value, best_index = value, index
     return BisepResult(value=best_value, bipartition=parts[best_index])
 
 
-def max_symmetric_product(
-    objective: DenseOperator,
-    restarts: int | None = None,
-    tol: float | None = None,
-    config: SolverConfig | None = None,
-) -> float:
+def max_symmetric_product(objective: DenseOperator, config: SolverConfig | None = None) -> float:
     """Maximum of ``<a^(x)N| M |a^(x)N>`` over identical single-qubit states.
 
     For any ``M`` this is ``c^dagger M_top c``, ``M_top`` on the Dicke states and
     ``c_k = sqrt(C(N, k)) cos^(N-k)(theta/2) (e^(i phi) sin(theta/2))^k``.  The
-    ``restarts`` best points of a ``(4N+9) x (8N+16)`` grid of Bloch angles are
-    refined by a 3x3 stencil, halving its step when no neighbour improves, down
-    to ``tol`` radians.
+    ``seesaw_restarts`` best points of a ``(4N+9) x (8N+16)`` grid of Bloch angles
+    are refined by a 3x3 stencil, halving its step when no neighbour improves,
+    down to ``seesaw_tol`` radians (at least 1e-14).
     """
     cfg = config or SolverConfig()
-    if restarts is None:
-        restarts = cfg.seesaw_restarts
-    tol = max(cfg.seesaw_tol if tol is None else tol, 1e-14)
+    _check_hermitian(objective, "product-state")
+    tol = max(cfg.seesaw_tol, 1e-14)
     n = objective.num_qubits
     dicke_cols = spin_blocks(n)[0].isometry[:, 0, :]
     m_top = dicke_cols.T @ objective.mat @ dicke_cols
@@ -1029,7 +998,7 @@ def max_symmetric_product(
     theta, phi = np.meshgrid(np.linspace(0, math.pi, 4 * n + 9),
                              np.linspace(0, 2 * math.pi, 8 * n + 16, endpoint=False),
                              indexing="ij")
-    best = np.argsort(-values(theta, phi).ravel())[:max(restarts, 1)]
+    best = np.argsort(-values(theta, phi).ravel())[:max(cfg.seesaw_restarts, 1)]
     theta, phi, rows = theta.ravel()[best], phi.ravel()[best], np.arange(len(best))
     step = np.full(len(best), math.pi / (4 * n + 8))
     offsets = np.array(list(itertools.product((-1, 0, 1), repeat=2)))  # [4] is the centre
@@ -1082,7 +1051,7 @@ def q_scan(
     if num_qubits > PPT_MAX_QUBITS:
         raise ValueError(f"PPT maximization is limited to {PPT_MAX_QUBITS} qubits")
     cfg = config or SolverConfig()
-    rho_t = dicke(num_qubits, excitations).density()
+    target = dicke(num_qubits, excitations)
     dim = 2**num_qubits
     base = _wi3_objective(num_qubits, excitations, 0.0)
     penalty = _wi3_penalty(num_qubits, excitations)
@@ -1094,7 +1063,7 @@ def q_scan(
             raise ValueError("q must be nonnegative")
         m = base - q * penalty if q else base
         c_q = _ppt_constant(m, cfg)
-        value_target = c_q - float(np.real(m.expectation(rho_t)))
+        value_target = c_q - m.expectation(target)
         value_white = c_q - float(np.real(m.trace())) / dim
         tolerance = _critical_noise(value_target, value_white) if value_target < 0 else 0.0
         rows.append((q, c_q, tolerance))

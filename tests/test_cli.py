@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import symwit
@@ -33,7 +34,8 @@ def test_package_does_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, symwit\n"
             "assert symwit.catalog('WP3_D105').alpha_source == 'derived'\n"
-            "symwit.optimize.max_symmetric_product(symwit.collective_j(3, 'x'), restarts=2)\n"
+            "symwit.optimize.max_symmetric_product(symwit.collective_j(3, 'x'),\n"
+            "                                      symwit.SolverConfig(seesaw_restarts=2))\n"
             "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
@@ -71,6 +73,38 @@ def test_witness_eval_white_noise(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["value"] == pytest.approx(-1 / 3, abs=1e-9)
+
+
+def test_witness_eval_builds_no_dense_state(capsys, monkeypatch):
+    # N=10 at p=0.1: (1 - p) <W>_target + p <W>_noise, both read in the spin blocks
+    import symwit.symmetric
+    import symwit.witnesses
+    from symwit.linalg import StateVector
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense state on the witness eval path")
+
+    monkeypatch.setattr(StateVector, "density", refuse)
+    monkeypatch.setattr(symwit.symmetric, "compress", refuse)
+    monkeypatch.setattr(symwit.witnesses, "compress", refuse)
+    code, out, _ = run(capsys, "witness", "eval", "--witness", "WP3_D105", "--p", "0.1")
+    assert code == 0
+    assert abs(json.loads(out)["value"] - (-0.5840)) <= 1e-4
+
+
+def test_witness_eval_is_the_dense_trace_under_nonwhite_noise(capsys):
+    from symwit.witnesses import catalog, nonwhite_noise_state
+
+    p = 0.3
+    code, out, _ = run(capsys, "witness", "eval", "--witness", "WP3_D63",
+                       "--noise", "nonwhite", "--p", str(p))
+    assert code == 0
+    witness = catalog("WP3_D63")
+    rho = (1 - p) * witness.target.density().mat + p * nonwhite_noise_state(0.0).mat
+    want = float(np.real(np.trace(witness.dense.mat @ rho)))
+    assert abs(json.loads(out)["value"] - want) <= 1e-12
+    code, _, err = run(capsys, "witness", "eval", "--witness", "WP3_D63", "--p", "1.5")
+    assert code == 3 and "noise fraction p must lie in [0, 1]" in err
 
 
 def test_canned_setting_counts(capsys):
@@ -178,6 +212,17 @@ def test_config_file_round_trip(capsys, tmp_path):
     objective = op_power(collective_j(3, "x"), 2) + op_power(collective_j(3, "y"), 2)
     oracle = max_bisep_all(objective, config=SolverConfig(seesaw_restarts=5, seed=42))
     assert payload["value"] == pytest.approx(oracle.value, abs=1e-12)
+
+
+def test_restarts_flag_is_the_config_setting(capsys, tmp_path):
+    cfg = tmp_path / "solver.cfg"
+    cfg.write_text("seesaw_restarts = 5\n")
+    outs = []
+    for extra in (["--restarts", "5"], ["--config", str(cfg)]):
+        code, out, _ = run(capsys, "bisep-max", "--n", "3", "--m", "1", *extra)
+        assert code == 0
+        outs.append(json.loads(out)["value"])
+    assert outs[0] == outs[1]
 
 
 def test_unknown_config_key_exits_3(capsys, tmp_path):

@@ -104,7 +104,7 @@ def test_ppt_commutant_matches_dense_solver():
     fast = max_ppt(PptProblem(m, (1,)))
     from symwit.optimize import _Block, _ppt_blocks
 
-    _, report = _ppt_blocks([_Block(2, 4, 1, m.mat)], SolverConfig())
+    _, _, report = _ppt_blocks([_Block(2, 4, 1, m.mat)], SolverConfig())
     assert abs(fast.value - report.optimum) < 1e-6
 
 
@@ -118,7 +118,7 @@ def test_ppt_spin_blocks_match_one_block_solve():
         for k in range(1, n // 2 + 1):
             part = tuple(range(n - k + 1, n + 1))  # a part that is not a prefix
             result = max_ppt(PptProblem(m, part))
-            _, dense = _ppt_blocks([_Block(2**k, 2 ** (n - k), 1, m.mat)], SolverConfig())
+            _, _, dense = _ppt_blocks([_Block(2**k, 2 ** (n - k), 1, m.mat)], SolverConfig())
             assert result.report.converged and dense.converged
             assert abs(result.value - dense.optimum) < 1e-6, (n, k)
             rho = result.rho
@@ -142,7 +142,7 @@ def test_max_ppt_all_reports_bipartition():
     m = op_power(collective_j(4, "x"), 2) + op_power(collective_j(4, "y"), 2)
     result = max_ppt_all(m)
     assert result.bipartition in ((1,), (1, 2))
-    assert result.value >= max_bisep_all(m, restarts=10).value - 1e-6
+    assert result.value >= max_bisep_all(m, SolverConfig(seesaw_restarts=10)).value - 1e-6
 
 
 def penalty_objective(n: int, m: int, q: float) -> DenseOperator:
@@ -220,7 +220,7 @@ def test_scan_gap_covers_every_bipartition():
 
 def test_floor_stops_a_losing_bipartition():
     # the best value of part (1,) is the floor of every block of part (1, 2)
-    from symwit.optimize import _batched_pt_front, _objective_blocks, _ppt_block
+    from symwit.optimize import _batched_pt_front, _ppt_block, _scan_blocks
 
     m = penalty_objective(4, 1, 0.0)
     first, second = (max_ppt(PptProblem(m, part)) for part in ((1,), (1, 2)))
@@ -228,7 +228,7 @@ def test_floor_stops_a_losing_bipartition():
     scan = max_ppt_all(m)
     assert scan.bipartition == (1,)
     assert scan.report.iterations < first.report.iterations + second.report.iterations
-    blk = _objective_blocks(m, (1, 2), True)[1][0]
+    blk = _scan_blocks(m, [(1, 2)], True)[0][2]
     y, report = _ppt_block(blk, SolverConfig(), first.value)
     assert not report.converged and report.optimum < first.value
     assert report.optimum + report.dual_residual < first.value
@@ -247,22 +247,23 @@ def _exhaustive_block_ppt(objective: DenseOperator, part: tuple[int, ...]):
     Returns (value, rho bytes, report, the winning block's Newton steps); the
     report's ``iterations`` sums the steps of every block.
     """
-    from symwit.optimize import _front_permutation, _herm, _objective_blocks, _ppt_blocks
+    from symwit.optimize import _front_permutation, _herm, _ppt_blocks, _scan_blocks
     from symwit.symmetric import lift, permute_qubits
 
-    embeddings, blocks = _objective_blocks(objective, part, True)
+    entries = _scan_blocks(objective, [part], True)
+    blocks = [blk for _, _, blk in entries]
     solves = [_ppt_blocks([b], SolverConfig()) for b in blocks]
     tops = [np.linalg.eigvalsh(b.objective)[-1] for b in blocks]
     win = None
     for i in sorted(range(len(blocks)), key=lambda i: -tops[i]):
-        if win is None or solves[i][1].optimum > solves[win][1].optimum:
+        if win is None or solves[i][2].optimum > solves[win][2].optimum:
             win = i
-    (x_blocks, report), iso = solves[win], embeddings[win][2]
-    upper = max(r.optimum + r.dual_residual for _, r in solves)
-    steps = sum(r.iterations for _, r in solves)
+    (_, y, report), iso = solves[win], entries[win][1]
+    upper = max(r.optimum + r.dual_residual for _, _, r in solves)
+    steps = sum(r.iterations for _, _, r in solves)
     winner_steps = report.iterations
     report = dataclasses.replace(report, dual_residual=upper - report.optimum, iterations=steps)
-    rho = DenseOperator(_herm(lift([(iso, x_blocks[0])])))
+    rho = DenseOperator(_herm(lift([(iso, y / blocks[win].mult)])))
     rho = permute_qubits(rho, _front_permutation(part, objective.num_qubits)[1])
     return report.optimum, rho.mat.tobytes(), report, winner_steps
 
@@ -298,7 +299,7 @@ def _dense_bisep_all(objective: DenseOperator) -> float:
     from symwit.symmetric import is_permutation_invariant
 
     parts = _bipartitions(objective.num_qubits, is_permutation_invariant(objective))
-    return max(max_bisep_seesaw(objective, part, rng=np.random.default_rng(index))
+    return max(max_bisep_seesaw(objective, part, SolverConfig(seed=index))
                for index, part in enumerate(parts))
 
 
@@ -327,13 +328,13 @@ def test_product_search_without_symmetry_is_the_dense_seesaw(objective):
 
 
 def test_objective_without_a_conserved_charge_keeps_the_full_basis():
-    from symwit.optimize import _charge_sectors, _objective_blocks, _ppt_blocks
+    from symwit.optimize import _charge_sectors, _ppt_blocks, _scan_blocks
 
     m = penalty_objective(4, 1, 0.0) + 0.3 * collective_j(4, "x")
     for part in ((1,), (1, 2)):
-        _, blocks = _objective_blocks(m, part, True)
+        blocks = [blk for _, _, blk in _scan_blocks(m, [part], True)]
         assert all(_charge_sectors(b, not np.any(np.imag(b.objective))).all() for b in blocks)
-        unknown = _ppt_blocks([b._replace(charge=None) for b in blocks], SolverConfig())[1]
+        unknown = _ppt_blocks([b._replace(charge=None) for b in blocks], SolverConfig())[2]
         assert max_ppt(PptProblem(m, part)).report == unknown
     result = max_ppt_all(m)
     assert result.bipartition == (1,) and result.report.converged
@@ -348,17 +349,15 @@ def test_objective_without_a_conserved_charge_keeps_the_full_basis():
 ], ids=[str(key) for key in PPT_THRESHOLD_GRID] + ["random-4", "random-5"])
 def test_no_block_value_exceeds_the_partial_transpose_bound(objective):
     # Tr(M Y) = Tr(M^T_A Y^T_A) <= lambda_max(M^T_A) for PPT and product Y
-    from symwit.optimize import (_batched_pt_front, _blocks_by_top, _objective_blocks,
-                                 _ppt_blocks, _seesaw)
+    from symwit.optimize import _batched_pt_front, _ppt_blocks, _scan_blocks, _seesaw
 
     for part in ((1,), (1, 2)):
-        _, blocks = _objective_blocks(objective, part, True)
-        tops = {i: top for top, i in _blocks_by_top(blocks)}
+        blocks = [blk for _, _, blk in _scan_blocks(objective, [part], True)]
         for i, b in enumerate(blocks):
             m_pt = _batched_pt_front(b.objective[None], b.dim_a)[0]
             bound = min(np.linalg.eigvalsh(b.objective)[-1], np.linalg.eigvalsh(m_pt)[-1])
-            assert abs(tops[i] - bound) <= 1e-12 * (1 + abs(bound))
-            assert _ppt_blocks([b], SolverConfig())[1].optimum <= bound + 1e-12
+            assert abs(b.top - bound) <= 1e-12 * (1 + abs(bound))
+            assert _ppt_blocks([b], SolverConfig())[2].optimum <= bound + 1e-12
             if min(b.dim_a, b.dim_b) > 1:
                 rng = np.random.default_rng(i)
                 assert _seesaw(b.objective, b.dim_a, b.dim_b, 10, 1e-12, rng) <= bound + 1e-12
@@ -417,17 +416,17 @@ def test_product_search_reaches_the_degenerate_optimum():
 def test_ppt_block_solve_inverts_and_factors_both_blocks_at_once(monkeypatch):
     # Y and Y^T_A as one 2-block LMI, whose S and Z are each inverted and factored in one
     # call; the log-barrier engine took 60 Newton steps here, 80 inv and 114 cholesky calls
-    from symwit.optimize import _objective_blocks, _ppt_blocks
+    from symwit.optimize import _ppt_blocks, _scan_blocks
 
-    _, blocks = _objective_blocks(penalty_objective(4, 1, 1.0), (1,), True)
-    (block,) = [b for b in blocks if (b.dim_a, b.dim_b) == (2, 4)]
+    entries = _scan_blocks(penalty_objective(4, 1, 1.0), [(1,)], True)
+    (block,) = [b for _, _, b in entries if (b.dim_a, b.dim_b) == (2, 4)]
     shapes: dict[str, list] = {"inv": [], "cholesky": []}
     for name, calls in shapes.items():
         def recorded(mat, _calls=calls, _original=getattr(np.linalg, name)):
             _calls.append(np.shape(mat))
             return _original(mat)
         monkeypatch.setattr(np.linalg, name, recorded)
-    report = _ppt_blocks([block], SolverConfig())[1]
+    report = _ppt_blocks([block], SolverConfig())[2]
     assert report.converged and report.iterations <= 20
     assert all(shape == (2, 8, 8) for calls in shapes.values() for shape in calls), shapes
     assert len(shapes["inv"]) < 80 and len(shapes["cholesky"]) < 114
@@ -435,10 +434,10 @@ def test_ppt_block_solve_inverts_and_factors_both_blocks_at_once(monkeypatch):
 
 def test_seesaw_bell_oracle_and_restart_prefix_monotone():
     m = bell_projector()
-    v50 = max_bisep_seesaw(m, (1,), restarts=50)
+    v50 = max_bisep_seesaw(m, (1,), SolverConfig(seesaw_restarts=50))
     assert abs(v50 - 0.5) < 1e-9
     # restarts consume one rng stream: more restarts can only improve
-    values = [max_bisep_seesaw(m, (1,), restarts=r) for r in (1, 5, 20, 50)]
+    values = [max_bisep_seesaw(m, (1,), SolverConfig(seesaw_restarts=r)) for r in (1, 5, 20, 50)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -488,11 +487,11 @@ def test_seesaw_batch_matches_sequential_restarts():
         for seed in (0, 1):
             for tol in (1e-12, 1e-6, 1.0):
                 got = max_bisep_seesaw(
-                    m, tuple(range(1, k + 1)), restarts=7, tol=tol,
-                    config=SolverConfig(seed=seed),
+                    m, tuple(range(1, k + 1)),
+                    SolverConfig(seesaw_restarts=7, seesaw_tol=tol, seed=seed),
                 )
                 assert abs(got - _seesaw_sequential(m, k, 7, seed, tol)) <= 1e-12
-    assert max_bisep_seesaw(bell_projector(), (1,), restarts=0) == -math.inf
+    assert max_bisep_seesaw(bell_projector(), (1,), SolverConfig(seesaw_restarts=0)) == -math.inf
 
 
 def test_seesaw_is_lower_bound_of_ppt():
@@ -500,19 +499,29 @@ def test_seesaw_is_lower_bound_of_ppt():
     for n in (3, 4):
         m = random_pi_objective(n, rng)
         ppt = max_ppt(PptProblem(m, (1,))).value
-        see = max_bisep_seesaw(m, (1,), restarts=20)
+        see = max_bisep_seesaw(m, (1,), SolverConfig(seesaw_restarts=20))
         assert see <= ppt + 1e-6
 
 
 def test_seesaw_restart_stability():
     # most single restarts already find the global optimum here
     m = op_power(collective_j(4, "x"), 2) + op_power(collective_j(4, "y"), 2)
-    best = max_bisep_seesaw(m, (1,), restarts=50)
+    best = max_bisep_seesaw(m, (1,), SolverConfig(seesaw_restarts=50))
     hits = 0
     for seed in range(50):
-        v = max_bisep_seesaw(m, (1,), restarts=1, config=SolverConfig(seed=seed))
+        v = max_bisep_seesaw(m, (1,), SolverConfig(seesaw_restarts=1, seed=seed))
         hits += abs(v - best) < 1e-9
     assert hits >= 45
+
+
+def test_product_searches_refuse_a_non_hermitian_objective():
+    # on this objective the seesaw read 4.533 across (1,), where its Hermitian part gives 3.062
+    rng = np.random.default_rng(1)
+    m = DenseOperator(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    for search in (lambda: max_bisep_seesaw(m, (1,)), lambda: max_bisep_all(m),
+                   lambda: max_symmetric_product(m)):
+        with pytest.raises(ValueError, match="objective must be Hermitian"):
+            search()
 
 
 def test_max_symmetric_product_oracle():
@@ -520,7 +529,7 @@ def test_max_symmetric_product_oracle():
     for n in (4, 6):
         m = op_power(collective_j(n, "x"), 2) + op_power(collective_j(n, "y"), 2)
         want = (n / 2) * (n / 2 + 1) - n / 4
-        got = max_symmetric_product(m, restarts=10)
+        got = max_symmetric_product(m, SolverConfig(seesaw_restarts=10))
         assert abs(got - want) < 1e-8
 
 
@@ -536,7 +545,7 @@ def test_max_symmetric_product_random_objectives():
                       for s in (reduce(np.kron, [q] * n) for q in qubits))
         top = np.stack([dicke(n, k).vec for k in range(n + 1)], axis=1)
         ceiling = np.linalg.eigvalsh(top.conj().T @ m.mat @ top)[-1]
-        got = max_symmetric_product(m, restarts=10)
+        got = max_symmetric_product(m, SolverConfig(seesaw_restarts=10))
         assert sampled - 1e-12 <= got <= ceiling + 1e-12
 
 

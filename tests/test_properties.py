@@ -30,9 +30,9 @@ from symwit.optimize import (
     _herm_coords,
     _hermitian_basis,
     _Lmi,
-    _objective_blocks,
     _ppt_blocks,
     _primal_dual_maximize,
+    _scan_blocks,
     _seesaw,
     collective_power_basis,
     max_bisep_seesaw,
@@ -289,16 +289,16 @@ def test_ppt_dual_bound_is_an_upper_bound(pi, extra, seed, kind, shift, scale):
         objective = DenseOperator(_random_hermitian(rng, 2**n))
     parts = _bipartitions(n, pi)
     part = parts[int(rng.integers(len(parts)))]
-    _, blocks = _objective_blocks(objective.hermitized(), part, pi)
+    blocks = [blk for _, _, blk in _scan_blocks(objective.hermitized(), [part], pi)]
     cfg = SolverConfig()
-    x_blocks, _ = _ppt_blocks(blocks, cfg)
-    value = sum(b.mult * float(np.real(np.trace(b.objective @ x))) for b, x in zip(blocks, x_blocks))
+    win, y, _ = _ppt_blocks(blocks, cfg)  # X_win = Y / mult_win, mult_win Tr(M X_win) = Tr(M Y)
+    value = float(np.real(np.trace(blocks[win].objective @ y)))
     p_mats, q_mats = [], []
     for b in blocks:
         d = b.dim_a * b.dim_b
         p_b, q_b = (scale * _random_hermitian(rng, d) + shift * np.eye(d) for _ in range(2))
         if kind == "central":
-            x = _ppt_blocks([b], cfg)[0][0]
+            x = _ppt_blocks([b], cfg)[1] / b.mult
             x_pt = _batched_pt_front(x[None], b.dim_a)[0]
             p_b = cfg.barrier_tol * (np.linalg.inv(x) + p_b)
             q_b = cfg.barrier_tol * (np.linalg.inv(x_pt) + q_b)
@@ -306,7 +306,7 @@ def test_ppt_dual_bound_is_an_upper_bound(pi, extra, seed, kind, shift, scale):
         q_mats.append((q_b + q_b.conj().T) / 2)
     bound = _dual_bound(blocks, p_mats, q_mats)
     assert bound >= value - 1e-9
-    assert bound >= max_bisep_seesaw(objective, part, restarts=5) - 1e-9
+    assert bound >= max_bisep_seesaw(objective, part, SolverConfig(seesaw_restarts=5)) - 1e-9
 
 
 @settings(derandomize=True, deadline=None, max_examples=15)
@@ -320,9 +320,8 @@ def test_no_block_beats_the_block_scan_by_more_than_its_gap(n, seed, real):
     for part in _bipartitions(n, True):
         result = max_ppt(PptProblem(objective.hermitized(), part))
         assert result.report.dual_residual >= 0.0
-        _, blocks = _objective_blocks(objective.hermitized(), part, True)
-        for block in blocks:
-            alone = _ppt_blocks([block], SolverConfig())[1].optimum
+        for _, _, block in _scan_blocks(objective.hermitized(), [part], True):
+            alone = _ppt_blocks([block], SolverConfig())[2].optimum
             assert alone <= result.value + result.report.dual_residual
 
 
@@ -417,9 +416,9 @@ def test_charge_sector_solve_matches_the_full_basis(pi, extra, seed):
     cfg = SolverConfig()
     parts = _bipartitions(n, pi)
     part = parts[int(rng.integers(len(parts)))]
-    _, blocks = _objective_blocks(objective.hermitized(), part, pi)
-    sector = _ppt_blocks(blocks, cfg)[1]
-    full = _ppt_blocks([b._replace(charge=None) for b in blocks], cfg)[1]
+    blocks = [blk for _, _, blk in _scan_blocks(objective.hermitized(), [part], pi)]
+    sector = _ppt_blocks(blocks, cfg)[2]
+    full = _ppt_blocks([b._replace(charge=None) for b in blocks], cfg)[2]
     assert sector.converged and full.converged
     slack = 1e-12 * (1.0 + abs(full.optimum))
     assert sector.optimum <= full.optimum + full.dual_residual + slack
