@@ -292,8 +292,12 @@ class Schedule:
         try:
             n = _json_int(payload["N"])
             terms = []
+            parsed = {}  # raw direction -> (setting, flipped); a schedule has few distinct ones
             for entry in payload["terms"]:
-                setting, flipped = Setting.parse(entry["n"], keep_unit=True)
+                raw = repr(entry["n"])
+                if raw not in parsed:
+                    parsed[raw] = Setting.parse(entry["n"], keep_unit=True)
+                setting, flipped = parsed[raw]
                 coeff, w = float(entry["coeff"]), float(entry["identity_weight"])
                 if flipped:
                     coeff, w = _absorb_flip(coeff, w, n)

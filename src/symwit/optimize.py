@@ -941,7 +941,7 @@ def _seesaw(mat: np.ndarray, dim_a: int, dim_b: int, restarts: int, tol: float, 
 
 
 def max_bisep_all(objective: DenseOperator, config: SolverConfig | None = None) -> BisepResult:
-    """Best product-state value over all bipartitions, with the achiever.
+    """Best product-state value over all bipartitions, and its bipartition (no product vectors).
 
     Mixtures of biseparable states cannot exceed the best pure product state
     for a linear objective, so this lower-bounds the biseparable maximum and

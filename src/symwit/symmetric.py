@@ -237,6 +237,11 @@ def compress(mat: np.ndarray, isometry: np.ndarray) -> np.ndarray:
 
 
 def lift(pairs) -> np.ndarray:
-    """The dense ``sum sum_c V_c A V_c^T`` of ``(isometry, A)`` pairs; inverts :func:`compress`."""
-    return sum(flat @ np.kron(np.eye(iso.shape[1]), block) @ flat.T
-               for iso, block in pairs for flat in [iso.reshape(len(iso), -1)])
+    """The dense ``sum sum_c V_c A V_c^T`` of ``(isometry, A)`` pairs; inverts :func:`compress`.
+    A real ``A`` stays real, and a complex one is lifted as its real and imaginary parts."""
+    def copies(iso: np.ndarray, part: np.ndarray) -> np.ndarray:  # sum_c V_c part V_c^T
+        flat = iso.reshape(len(iso), -1)
+        return (iso.reshape(-1, iso.shape[2]) @ part).reshape(flat.shape) @ flat.T
+
+    return sum(copies(iso, block.real) + 1j * copies(iso, block.imag) if np.any(np.imag(block))
+               else copies(iso, np.real(block)) for iso, block in pairs)

@@ -64,21 +64,13 @@ class BasisTerm:
     def block(self, num_qubits: int, j: float, target_amps: np.ndarray | None) -> np.ndarray:
         """This term on one copy of spin ``j`` (:func:`spin_blocks`), given the
         target's amplitudes on the Dicke states (:func:`symmetric_amplitudes`)."""
-        dim, s = int(round(2 * j)) + 1, self.shift
-        if self.kind == "identity":
-            return np.eye(dim)
-        if self.kind == "projector":
-            if target_amps is None:
-                raise ValueError("projector basis term requires a symmetric target")
-            top = dim == num_qubits + 1
-            return np.outer(target_amps, target_amps.conj()) if top else np.zeros((dim, dim))
-        if self.kind == "collective":
-            op = np.linalg.matrix_power(spin_matrix(j, self.axis) + s * np.eye(dim), self.power)
-        else:  # (sigma + s)^(x)N is (1 + s)^n (s - 1)^(N - n) where n = N/2 + J_axis factors are +1
-            _, vecs = np.linalg.eigh(spin_matrix(j, self.axis))  # J_axis = -j, ..., j
-            n = round(num_qubits / 2 - j) + np.arange(dim)
-            op = (vecs * (1.0 + s) ** n * (s - 1.0) ** (num_qubits - n)) @ vecs.conj().T
-        return (op + op.conj().T) / 2
+        if self.kind != "projector":
+            return _closed_form_block(self, num_qubits, j)
+        if target_amps is None:
+            raise ValueError("projector basis term requires a symmetric target")
+        dim = int(round(2 * j)) + 1
+        top = dim == num_qubits + 1
+        return np.outer(target_amps, target_amps.conj()) if top else np.zeros((dim, dim))
 
     def json_entry(self) -> dict:
         return {**asdict(self), "shift": float(self.shift)}
@@ -91,6 +83,23 @@ class BasisTerm:
             power=entry.get("power"),
             shift=float(entry.get("shift") or 0.0),
         )
+
+
+@lru_cache(maxsize=1024)
+def _closed_form_block(term: BasisTerm, num_qubits: int, j: float) -> np.ndarray:
+    """Read-only :meth:`BasisTerm.block` of a term that does not depend on the target."""
+    dim, s = int(round(2 * j)) + 1, term.shift
+    if term.kind == "identity":
+        op = np.eye(dim)
+    elif term.kind == "collective":
+        op = np.linalg.matrix_power(spin_matrix(j, term.axis) + s * np.eye(dim), term.power)
+    else:  # (sigma + s)^(x)N is (1 + s)^n (s - 1)^(N - n) where n = N/2 + J_axis factors are +1
+        _, vecs = np.linalg.eigh(spin_matrix(j, term.axis))  # J_axis = -j, ..., j
+        n = round(num_qubits / 2 - j) + np.arange(dim)
+        op = (vecs * (1.0 + s) ** n * (s - 1.0) ** (num_qubits - n)) @ vecs.conj().T
+    block = (op + op.conj().T) / 2
+    block.setflags(write=False)
+    return block
 
 
 @dataclass(frozen=True)
@@ -142,7 +151,8 @@ class WitnessSpec:
 
     @cached_property
     def dense(self) -> DenseOperator:
-        return DenseOperator(lift(self.blocks)).hermitized()
+        w = lift(self.blocks)
+        return DenseOperator((w + w.conj().T) / 2)
 
     def _projector_witness_blocks(self, lambda_sq: float) -> list[np.ndarray]:
         """The blocks of ``W_P = lambda_sq * 1 - |target><target|``, aligned with :attr:`blocks`."""

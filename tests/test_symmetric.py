@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symwit.linalg import DenseOperator, identity, op_power, pauli
 from symwit.symmetric import (
@@ -14,8 +16,10 @@ from symwit.symmetric import (
     _hamming_weights,
     collective_j,
     collective_power,
+    compress,
     dicke,
     is_permutation_invariant,
+    lift,
     permute_qubits,
     spin_blocks,
     symmetrize,
@@ -218,3 +222,34 @@ def test_spin_blocks_are_schur_weyl_isometries():
             )
             start += size
         assert np.allclose(cols.T @ op @ cols, want, atol=1e-10)
+
+
+def _reference_lift(isometry: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``sum_c V_c B V_c^T`` as the flattened isometry around ``1 (x) B``."""
+    flat = isometry.reshape(len(isometry), -1)
+    return flat @ np.kron(np.eye(isometry.shape[1]), block) @ flat.T
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(3, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_lift_is_the_copy_sum_and_inverts_compress(n, real, seed):
+    rng = np.random.default_rng(seed)
+    blocks = spin_blocks(n)
+    mats = []
+    for b in blocks:  # real symmetric or complex Hermitian (a 1x1 one is real)
+        raw = rng.standard_normal((b.dim, b.dim))
+        if not real:
+            raw = raw + 1j * rng.standard_normal((b.dim, b.dim))
+        mats.append(raw + raw.conj().T)
+    for b, mat in zip(blocks, mats):
+        got = lift([(b.isometry, mat)])
+        assert got.dtype == (np.float64 if not np.any(mat.imag) else np.complex128)
+        want = _reference_lift(b.isometry, mat)
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.max(np.abs(mat)))
+        assert np.max(np.abs(compress(got, b.isometry) - mat)) <= 1e-12
+        if real:  # a complex block with zero imaginary part is lifted as the real one
+            as_complex = lift([(b.isometry, mat.astype(complex))])
+            assert as_complex.dtype == np.float64 and np.array_equal(as_complex, got)
+    whole = lift([(b.isometry, mat) for b, mat in zip(blocks, mats)])
+    for b, mat in zip(blocks, mats):  # the spins do not mix
+        assert np.max(np.abs(compress(whole, b.isometry) - mat)) <= 1e-12

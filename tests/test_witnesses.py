@@ -405,3 +405,54 @@ def test_pi_tolerance_builds_no_dense_state(monkeypatch):
     monkeypatch.setattr(symwit.symmetric, "compress", refuse)
     monkeypatch.setattr(symwit.witnesses, "compress", refuse)
     assert round(noise_tolerance(spec, noise), 4) == 0.2404
+
+
+def test_fit_builds_each_basis_term_block_once(monkeypatch):
+    # the problem, the fitted spec's blocks and its certificate share one build per (term, j)
+    import symwit.witnesses as witnesses
+    from symwit.optimize import (WitnessOptimizationProblem, collective_power_basis,
+                                 optimize_witness)
+
+    calls = []
+    spin_matrix = witnesses.spin_matrix
+    monkeypatch.setattr(witnesses, "spin_matrix",
+                        lambda j, axis: calls.append((j, axis)) or spin_matrix(j, axis))
+    witnesses._closed_form_block.cache_clear()
+    basis = collective_power_basis(6, ("x", "y", "z"))
+    problem = WitnessOptimizationProblem(dicke(6, 3), NoiseModel.white(6), basis)
+    spec, report = optimize_witness(problem)
+    assert report.converged and spec.certificate_slack >= -witnesses.LMI_ATOL
+    info = witnesses._closed_form_block.cache_info()
+    keys = {(term, b.j) for term in basis for b in spin_blocks(6)}
+    assert info.misses == info.currsize == len(keys)
+    assert info.hits >= len(keys)
+    assert len(calls) == sum(term.kind != "identity" for term, _ in keys)  # no build bypasses the cache
+
+
+def test_cached_basis_term_blocks_are_read_only():
+    term = BasisTerm("collective", "x", 2)
+    block = term.block(4, 1.0, None)
+    assert block is term.block(4, 1.0, None)
+    with pytest.raises(ValueError):
+        block[0, 0] = 1.0
+
+
+def _reference_dense(w: WitnessSpec) -> DenseOperator:
+    """The dense witness lifted as ``flat (1 (x) W_j) flat^T`` per spin, then hermitized."""
+    total = sum(flat @ np.kron(np.eye(iso.shape[1]), block) @ flat.T
+                for iso, block in w.blocks for flat in [iso.reshape(len(iso), -1)])
+    return DenseOperator(total).hermitized()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_compiles_to_the_reference_lift_schedule(name):
+    from symwit.compiler import compile_operator
+
+    w = catalog(name)
+    got, want = (json.loads(compile_operator(op).to_json())
+                 for op in (w.dense, _reference_dense(w)))
+    assert got["settings"] == want["settings"]
+    assert ([(t["n"], t["scale"], t["identity_weight"]) for t in got["terms"]]
+            == [(t["n"], t["scale"], t["identity_weight"]) for t in want["terms"]])
+    coeffs = np.array([[t["coeff"] for t in s["terms"]] for s in (got, want)])
+    assert np.max(np.abs(coeffs[0] - coeffs[1])) <= 1e-14 * max(1.0, np.max(np.abs(coeffs[1])))
