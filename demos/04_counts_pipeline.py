@@ -6,7 +6,9 @@ Measuring a witness in the lab means collecting outcome counts for each
 local setting of its schedule.  This script simulates such counts for a
 noisy Dicke state, serializes them in the NDJSON interchange format, and
 evaluates the witness value, bootstrap error bar, and fidelity bound from
-the counts alone.
+the counts alone.  The noisy state is handed to the simulator as weighted
+parts, so its Born distributions are the weighted sums of the parts' and no
+dense density matrix is built.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 from symwit import (
     CountsDataset,
-    DenseOperator,
     NoiseModel,
     catalog,
     compile_operator,
@@ -34,18 +35,19 @@ print(f"WP3_D63 schedule: {schedule.num_settings} settings, "
       f"{len(schedule.terms)} terms")
 
 p = 0.1
+target = dicke(6, 3)
 noise = NoiseModel.white(6)
-rho = DenseOperator(
-    (1 - p) * dicke(6, 3).density().mat + p * noise.rho_noise.mat
-)
-oracle = expectation(w, rho)
-print(f"dense oracle at p = {p}: <W> = {oracle:+.6f}")
+state = [(1 - p, target), (p, noise)]  # rho(p) = (1 - p) |D63><D63| + p 1/64
+# Tr(W rho(p)) and the target fidelity are affine in p
+oracle = (1 - p) * expectation(w, target.density()) + p * expectation(w, noise.rho_noise)
+fidelity = (1 - p) + p * target.density().expectation(noise.rho_noise)
+print(f"exact value at p = {p}: <W> = {oracle:+.6f}")
 
 # ---------------------------------------------------------------------------
 # simulate counts and round-trip them through NDJSON
 # ---------------------------------------------------------------------------
 shots = 20_000
-data = simulate_counts(rho, schedule, shots_per_setting=shots, seed=7)
+data = simulate_counts(state, schedule, shots_per_setting=shots, seed=7)
 text = data.to_ndjson()
 print(f"\nsimulated {data.total_shots()} shots "
       f"({shots} per setting), {len(data.records)} distinct outcome records")
@@ -63,7 +65,7 @@ print(f"\nestimated <W> = {result.witness_value:+.6f} "
       f"+- {result.standard_error:.6f}  ({pull:+.2f} standard errors off)")
 print(f"fidelity bound {result.fidelity_bound:.6f} "
       f"+- {result.fidelity_bound_error:.6f} "
-      f"(true fidelity {dicke(6, 3).density().expectation(rho):.6f})")
+      f"(true fidelity {fidelity:.6f})")
 
 # the per-setting breakdown shows where the statistical weight sits
 print(f"\nfirst of {len(result.per_term)} per-term contributions "

@@ -126,15 +126,14 @@ def _noise_model(witness: WitnessSpec, kind: str) -> NoiseModel:
     return NoiseModel.custom(nonwhite_noise_state(0.0))
 
 
-def _check_fraction(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
+def _noisy_target(args: argparse.Namespace, witness: WitnessSpec) -> list:
+    """``rho(p) = (1 - p) |target><target| + p rho_noise`` as weighted parts."""
+    _check_noise_kind(witness, args.noise)
+    if not 0.0 <= args.p <= 1.0:
         raise ValueError("noise fraction p must lie in [0, 1]")
-
-
-def _noisy_state(witness: WitnessSpec, noise: NoiseModel, p: float) -> DenseOperator:
-    _check_fraction(p)
-    rho_t = witness.target.density()
-    return DenseOperator((1.0 - p) * rho_t.mat + p * noise.rho_noise.mat)
+    if args.p == 0.0:  # the noise model is never built
+        return [(1.0, witness.target)]
+    return [(1.0 - args.p, witness.target), (args.p, _noise_model(witness, args.noise))]
 
 
 def _ppt_objective(args: argparse.Namespace) -> DenseOperator:
@@ -207,11 +206,8 @@ def _cmd_witness_show(args, cfg):
 
 def _cmd_witness_eval(args, cfg):
     witness = _witness(args)
-    noise = _noise_model(witness, args.noise)
-    _check_fraction(args.p)
     # Tr(W rho(p)) is affine in p, and both ends are read in the spin blocks
-    value = ((1.0 - args.p) * _witness_value(witness, witness.target)
-             + args.p * _witness_value(witness, noise))
+    value = sum(w * _witness_value(witness, part) for w, part in _noisy_target(args, witness))
     _dump_json(args, {"witness": witness.name, "noise": args.noise, "p": args.p,
                       "value": value})
     return 0
@@ -311,12 +307,7 @@ def _cmd_fidelity_curve(args, cfg):
 def _cmd_simulate(args, cfg):
     witness = _witness(args)
     schedule = _read_schedule(args) or compile_operator(witness.dense)
-    _check_noise_kind(witness, args.noise)
-    if args.p == 0.0:  # the noise model is never used
-        state = witness.target
-    else:
-        state = _noisy_state(witness, _noise_model(witness, args.noise), args.p)
-    dataset = simulate_counts(state, schedule, args.shots, seed=cfg.seed)
+    dataset = simulate_counts(_noisy_target(args, witness), schedule, args.shots, seed=cfg.seed)
     _write(args, dataset.to_ndjson())
     return 0
 

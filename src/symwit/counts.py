@@ -13,7 +13,11 @@ number of shots that produced the pattern.  Directions supplied with the
 opposite sign are canonicalized on load and the outcome characters flipped,
 so files may use either sign convention.  Records are grouped by setting
 equality (the canonical key of :class:`~symwit.compiler.Setting`), so every
-spelling of one direction lands in the same group.
+spelling of one direction lands in the same group.  A :class:`CountsDataset`
+holds its rows as columns (setting, outcomes, count); its ``records`` are a
+view built on demand.  A noisy state is sampled from the weighted sum of its
+parts' Born distributions (pure target, white or custom noise), not as a
+dense ``rho(p)``.
 
 A schedule term ``coefficient * (scale * (n . sigma) + w * 1)^{(x) N}`` has
 the unbiased single-shot estimator ``coefficient * prod_k (w + scale * o_k)``
@@ -34,7 +38,7 @@ import numpy as np
 
 from .compiler import LocalTerm, Schedule, Setting, _json_int, compile_operator
 from .linalg import DenseOperator, StateVector, _SIGMA, _kron_all
-from .witnesses import WitnessSpec, fidelity_bound
+from .witnesses import NoiseModel, WitnessSpec, fidelity_bound
 
 __all__ = [
     "CountRecord",
@@ -56,13 +60,23 @@ class CountRecord:
     count: int
 
     def __post_init__(self) -> None:
-        if not self.outcomes or self.outcomes.strip("+-"):
-            raise ValueError(f"outcomes must be a nonempty +/- string, got {self.outcomes!r}")
-        if self.count < 0:
-            raise ValueError("count must be nonnegative")
+        _check_row(self.outcomes, self.count)
 
     def json_line(self) -> str:
-        return _json_line(_line_prefix(self.setting), self)
+        return _json_line(_line_prefix(self.setting), self.outcomes, self.count)
+
+
+def _check_row(outcomes: str, count: int, width: int | None = None) -> None:
+    if not outcomes or outcomes.strip("+-"):
+        raise ValueError(f"outcomes must be a nonempty +/- string, got {outcomes!r}")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if width is not None and len(outcomes) != width:
+        raise ValueError(f"outcome string {outcomes!r} does not have {width} characters")
+
+
+_FLIP = str.maketrans("+-", "-+")
+_DECODER = json.JSONDecoder()
 
 
 def _line_prefix(setting: Setting) -> str:
@@ -71,24 +85,45 @@ def _line_prefix(setting: Setting) -> str:
     return f'{{"setting": {entry}, "outcomes": "'
 
 
-def _json_line(prefix: str, rec: CountRecord) -> str:  # prefix: _line_prefix(rec.setting)
-    return f'{prefix}{rec.outcomes}", "count": {int(rec.count)}}}'
+def _json_line(prefix: str, outcomes: str, count: int) -> str:  # prefix: _line_prefix(setting)
+    return f'{prefix}{outcomes}", "count": {int(count)}}}'
 
 
-@dataclass(frozen=True)
 class CountsDataset:
-    """A collection of count records over a fixed qubit number."""
+    """Count records over a fixed qubit number, held as three columns.
 
-    num_qubits: int
-    records: tuple[CountRecord, ...]
+    ``columns`` holds, per row, a reference to its setting (parsed and
+    simulated rows of one setting share the object), its outcome string and
+    its int count.  ``records`` is a view of the rows as :class:`CountRecord`
+    objects, built on first use; datasets are equal when their qubit numbers
+    and rows are.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        for rec in self.records:
-            if len(rec.outcomes) != self.num_qubits:
-                raise ValueError(
-                    f"outcome string {rec.outcomes!r} does not have {self.num_qubits} characters"
-                )
+    def __init__(self, num_qubits: int, records) -> None:
+        records = tuple(records)
+        for rec in records:
+            _check_row(rec.outcomes, rec.count, num_qubits)
+        rows = [(rec.setting, rec.outcomes, int(rec.count)) for rec in records]
+        self.num_qubits, self._records = num_qubits, records
+        self.columns = tuple(zip(*rows)) or ((), (), ())
+
+    @classmethod
+    def _from_columns(cls, num_qubits: int, *columns: list) -> "CountsDataset":
+        """A dataset over checked columns: +/- strings of width N and nonnegative ints."""
+        self = cls.__new__(cls)
+        self.num_qubits, self._records, self.columns = num_qubits, None, tuple(map(tuple, columns))
+        return self
+
+    @property
+    def records(self) -> tuple[CountRecord, ...]:
+        if self._records is None:
+            self._records = tuple(map(CountRecord, *self.columns))
+        return self._records
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CountsDataset):
+            return NotImplemented
+        return (self.num_qubits, self.columns) == (other.num_qubits, other.columns)
 
     def weight_counts(self) -> list[tuple[Setting, np.ndarray]]:
         """Shots per distinct setting binned by their number of ``+`` outcomes.
@@ -98,51 +133,53 @@ class CountsDataset:
         order defines the bootstrap task index.
         """
         hists: dict[Setting, list[int]] = {}
-        for rec in self.records:
-            hist = hists.setdefault(rec.setting, [0] * (self.num_qubits + 1))
-            hist[rec.outcomes.count("+")] += rec.count
+        by_ref: dict[int, list[int]] = {}  # id(setting) -> hist: skips hashing each row's setting
+        for setting, outcomes, count in zip(*self.columns):
+            hist = by_ref.get(id(setting))
+            if hist is None:
+                hist = by_ref[id(setting)] = hists.setdefault(setting, [0] * (self.num_qubits + 1))
+            hist[outcomes.count("+")] += count
         return [(setting, np.array(hist, dtype=np.int64)) for setting, hist in hists.items()]
 
     def total_shots(self) -> int:
-        return int(sum(rec.count for rec in self.records))
+        return sum(self.columns[2])
 
     # -- NDJSON ----------------------------------------------------------
     def to_ndjson(self) -> str:
         # one prefix per setting object: equal settings may still print apart (0.0 and -0.0)
-        settings = {id(rec.setting): rec.setting for rec in self.records}
+        settings = {id(setting): setting for setting in self.columns[0]}
         prefixes = {key: _line_prefix(setting) for key, setting in settings.items()}
-        return "".join(_json_line(prefixes[id(rec.setting)], rec) + "\n" for rec in self.records)
+        return "".join([_json_line(prefixes[id(setting)], outcomes, count) + "\n"
+                        for setting, outcomes, count in zip(*self.columns)])
 
     @classmethod
     def from_ndjson(cls, text: str) -> "CountsDataset":
-        records = []
-        num_qubits = None
-        parsed = {}  # raw direction -> (setting, flipped); a file has few distinct ones
+        rows, num_qubits = [], None  # (setting, outcomes, count)
+        parsed = {}  # repr(raw direction) -> (setting, flipped); a file has few distinct ones
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                entry = json.loads(line)
-                raw = json.dumps(entry["setting"])
-                if raw not in parsed:
-                    parsed[raw] = Setting.parse(entry["setting"], keep_unit=True)
-                setting, flipped = parsed[raw]
-                outcomes = str(entry["outcomes"])
-                count = _json_int(entry["count"])
+                entry, end = _DECODER.raw_decode(line)  # json.loads less its whitespace scans
+                if end != len(line):
+                    json.loads(line)  # raises json's "Extra data" error
+                key = repr(entry["setting"])
+                if key not in parsed:
+                    parsed[key] = Setting.parse(entry["setting"], keep_unit=True)
+                setting, flipped = parsed[key]
+                outcomes, count = str(entry["outcomes"]), _json_int(entry["count"])
+                _check_row(outcomes, count, num_qubits)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed counts record on line {lineno}: {exc}") from None
             if setting is None:
                 raise ValueError(f"setting on line {lineno} must be nonzero")
+            num_qubits = len(outcomes)
             # canonicalization may flip the direction; flip outcomes to match
-            if flipped:
-                outcomes = outcomes.translate(str.maketrans("+-", "-+"))
-            if num_qubits is None:
-                num_qubits = len(outcomes)
-            records.append(CountRecord(setting, outcomes, count))
+            rows.append((setting, outcomes.translate(_FLIP) if flipped else outcomes, count))
         if num_qubits is None:
             raise ValueError("counts data contains no records")
-        return cls(num_qubits, tuple(records))
+        return cls._from_columns(num_qubits, *zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -200,17 +237,32 @@ def _rotate(out: np.ndarray, frame_dag: np.ndarray, num_qubits: int) -> np.ndarr
     return out.reshape(shape)
 
 
-def _born_probabilities(
-    state: StateVector | DenseOperator, setting: Setting, num_qubits: int
-) -> np.ndarray:
-    """Outcome distribution ``|U^dag psi|^2`` or ``diag(U^dag rho U)``, ``U = frame^{(x)N}``."""
+def _parts(state) -> list[tuple[float, StateVector | DenseOperator | NoiseModel]]:
+    """``state`` as ``(weight, part)`` pairs, with custom noise as its density matrix."""
+    pairs = [(1.0, state)] if isinstance(state, (StateVector, DenseOperator, NoiseModel)) else state
+    return [(float(weight), part.rho_noise if isinstance(part, NoiseModel)
+             and part.kind == "custom" else part) for weight, part in pairs]
+
+
+def _born_probabilities(state, setting: Setting, num_qubits: int) -> np.ndarray:
+    """Outcome distribution when every qubit measures ``setting``, ``U = frame^{(x)N}``.
+
+    ``state`` is one part or a list of ``(weight, part)`` pairs, and its
+    distribution is the weighted sum of the parts': ``|U^dag psi|^2`` for a
+    :class:`StateVector`, ``diag(U^dag rho U)`` for a density matrix (a
+    :class:`DenseOperator` or custom noise) and ``1/2^N`` for white noise.
+    """
     frame_dag = _measurement_frame(setting).conj().T
-    if isinstance(state, StateVector):
-        probs = np.abs(_rotate(state.vec, frame_dag, num_qubits)) ** 2
-    else:
-        # U^dag rho U is U^dag applied to the rows of (U^dag rho)^dag = rho U
-        half = _rotate(state.mat, frame_dag, num_qubits)
-        probs = np.real(np.diagonal(_rotate(half.conj().T, frame_dag, num_qubits)))
+    probs = np.zeros(2**num_qubits)
+    for weight, part in _parts(state):
+        if isinstance(part, NoiseModel):  # white
+            probs += weight / 2**num_qubits
+        elif isinstance(part, StateVector):
+            probs += weight * np.abs(_rotate(part.vec, frame_dag, num_qubits)) ** 2
+        else:
+            # U^dag rho U is U^dag applied to the rows of (U^dag rho)^dag = rho U
+            half = _rotate(part.mat, frame_dag, num_qubits)
+            probs += weight * np.real(np.diagonal(_rotate(half.conj().T, frame_dag, num_qubits)))
     # rotation rounding is ~1e-16: zero it, so that a seeded draw does not hinge on last bits
     probs = np.where(probs < 1e-14, 0.0, probs)
     total = float(probs.sum())
@@ -220,37 +272,50 @@ def _born_probabilities(
 
 
 def simulate_counts(
-    state: StateVector | DenseOperator,
+    state,
     schedule: Schedule,
     shots_per_setting: int,
     seed: int = 0,
 ) -> CountsDataset:
     """Sample measurement counts for every setting of a schedule.
 
-    Each distinct setting is one task; task ``i`` draws ``shots_per_setting``
-    multinomial samples from the Born distribution using an independent
-    generator seeded with ``seed + i``, so tasks may be reproduced in
-    isolation.
+    ``state`` is a :class:`StateVector`, a :class:`DenseOperator`, or a mixture
+    ``[(w_1, part_1), ...]`` of those and :class:`NoiseModel` parts, sampled from
+    the weighted sum of the parts' Born distributions.  Each distinct setting is
+    one task; task ``i`` draws ``shots_per_setting`` multinomial samples from
+    the Born distribution using an independent generator seeded with
+    ``seed + i``, so tasks may be reproduced in isolation.
     """
     n = schedule.num_qubits
-    if state.num_qubits != n:
-        raise ValueError("state dimension does not match the schedule")
-    if isinstance(state, DenseOperator):
-        if not state.is_hermitian(1e-10) or abs(state.trace() - 1.0) > 1e-9:
+    parts = _parts(state)
+    for weight, part in parts:
+        if (part.rho_noise if isinstance(part, NoiseModel) else part).num_qubits != n:
+            raise ValueError("state dimension does not match the schedule")
+        if weight < 0:
+            raise ValueError(f"mixture weight {weight!r} is negative")
+        if isinstance(part, DenseOperator) and (
+                not part.is_hermitian(1e-10) or abs(part.trace() - 1.0) > 1e-9):
             raise ValueError("density matrix input must be Hermitian with unit trace")
     if shots_per_setting <= 0:
         raise ValueError("shots_per_setting must be positive")
-    records = []
-    outcomes = tuple(map("".join, itertools.product("+-", repeat=n)))  # "+" for a 0 bit
+    # a density-matrix part costs a dense rotation anyway: add the parts but white noise
+    # into it, so the draws are bit for bit those of that dense state passed whole
+    mixed = [(w, part) for w, part in parts if not isinstance(part, NoiseModel)]
+    if len(mixed) > 1 and any(isinstance(part, DenseOperator) for _, part in mixed):
+        terms = [w * (part.mat if isinstance(part, DenseOperator) else part.density().mat)
+                 for w, part in mixed]
+        parts = [pair for pair in parts if isinstance(pair[1], NoiseModel)] + [
+            (1.0, DenseOperator(sum(terms[1:], terms[0])))]
+    columns = ([], [], [])  # settings, outcomes, counts
+    patterns = tuple(map("".join, itertools.product("+-", repeat=n)))  # "+" for a 0 bit
     for index, setting in enumerate(schedule.settings):
-        probs = _born_probabilities(state, setting, n)
-        rng = np.random.default_rng(seed + index)
-        draws = rng.multinomial(shots_per_setting, probs)
-        for basis_index in np.nonzero(draws)[0]:
-            records.append(
-                CountRecord(setting, outcomes[basis_index], int(draws[basis_index]))
-            )
-    return CountsDataset(n, tuple(records))
+        probs = _born_probabilities(parts, setting, n)
+        draws = np.random.default_rng(seed + index).multinomial(shots_per_setting, probs)
+        hit = np.flatnonzero(draws)
+        columns[0].extend([setting] * len(hit))
+        columns[1].extend([patterns[i] for i in hit.tolist()])
+        columns[2].extend(draws[hit].tolist())
+    return CountsDataset._from_columns(n, *columns)
 
 
 # ---------------------------------------------------------------------------

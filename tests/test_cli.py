@@ -92,6 +92,30 @@ def test_witness_eval_builds_no_dense_state(capsys, monkeypatch):
     assert abs(json.loads(out)["value"] - (-0.5840)) <= 1e-4
 
 
+def test_noisy_simulate_builds_no_dense_state(capsys, monkeypatch):
+    # N=8 at p=0.15: the target is rotated as a vector and the white noise adds 1/2^N
+    import symwit.counts
+    from symwit.linalg import StateVector
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense state on the simulate path")
+
+    rotate = symwit.counts._rotate
+
+    def vectors_only(out, *args):
+        assert out.ndim == 1, "dense rotation on the simulate path"
+        return rotate(out, *args)
+
+    monkeypatch.setattr(StateVector, "density", refuse)
+    monkeypatch.setattr(symwit.counts, "_rotate", vectors_only)
+    code, out, _ = run(capsys, "simulate", "--witness", "WP3_D84", "--p", "0.15",
+                       "--shots", "1000", "--seed", "1")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    settings = {tuple(row["setting"]) for row in rows}
+    assert sum(row["count"] for row in rows) == 1000 * len(settings)
+
+
 def test_witness_eval_is_the_dense_trace_under_nonwhite_noise(capsys):
     from symwit.witnesses import catalog, nonwhite_noise_state
 

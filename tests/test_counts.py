@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -9,13 +12,14 @@ from symwit.compiler import LocalTerm, Schedule, Setting, compile_operator
 from symwit.counts import (
     CountRecord,
     CountsDataset,
+    _born_probabilities,
     evaluate_counts,
     evaluate_witness_counts,
     simulate_counts,
 )
 from symwit.linalg import DenseOperator, StateVector, op_power
 from symwit.symmetric import collective_j, dicke
-from symwit.witnesses import NoiseModel, catalog
+from symwit.witnesses import NoiseModel, catalog, nonwhite_noise_state
 
 
 def single_term_schedule(num_qubits: int, n_ints, coeff=1.0, scale=1.0, w=0.0) -> Schedule:
@@ -154,6 +158,70 @@ def test_ndjson_rejects_malformed_lines():
         CountRecord(Setting.from_ints((0, 0, 1)), "+0-", 1)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ('"outcomes": "+0", "count": 1', "outcomes must be a nonempty +/- string, got '+0'"),
+    ('"outcomes": "+", "count": 1', "outcome string '+' does not have 2 characters"),
+    ('"outcomes": "++", "count": -1', "count must be nonnegative"),
+])
+def test_ndjson_names_the_line_of_a_bad_row(bad, message):
+    text = ('{"setting": [0, 0, 1], "outcomes": "+-", "count": 5}\n'
+            '{"setting": [1, 0, 0], %s}\n' % bad)
+    with pytest.raises(ValueError) as info:
+        CountsDataset.from_ndjson(text)
+    assert str(info.value) == f"malformed counts record on line 2: {message}"
+
+
+def _records_read_one_by_one(text: str) -> tuple[CountRecord, ...]:
+    """The NDJSON records as one validated CountRecord per line."""
+    records = []
+    for line in text.splitlines():
+        entry = json.loads(line)
+        setting, flipped = Setting.parse(entry["setting"], keep_unit=True)
+        outcomes = entry["outcomes"]
+        if flipped:
+            outcomes = outcomes.translate(str.maketrans("+-", "-+"))
+        records.append(CountRecord(setting, outcomes, entry["count"]))
+    return tuple(records)
+
+
+def test_columnar_dataset_keeps_the_record_surface():
+    with pytest.raises(ValueError, match="does not have 3 characters"):
+        CountsDataset(3, (CountRecord(Setting.from_ints((0, 0, 1)), "++", 1),))
+    schedule = compile_operator(catalog("WP_D42").dense)
+    target = dicke(4, 2)
+    data = simulate_counts(target, schedule, shots_per_setting=500, seed=4)
+    # one record per nonzero draw, drawn as simulate_counts documents
+    patterns = ["".join(p) for p in itertools.product("+-", repeat=4)]
+    want = []
+    for index, setting in enumerate(schedule.settings):
+        probs = _born_probabilities(target, setting, 4)
+        draws = np.random.default_rng(4 + index).multinomial(500, probs)
+        want += [CountRecord(setting, patterns[i], int(draws[i])) for i in np.nonzero(draws)[0]]
+    assert data.records == tuple(want)
+    # a file in the other sign convention on every other line reads as the same records
+    lines = data.to_ndjson().splitlines()
+    for k in range(0, len(lines), 2):
+        entry = json.loads(lines[k])
+        entry["setting"] = [-x for x in entry["setting"]]
+        entry["outcomes"] = entry["outcomes"].translate(str.maketrans("+-", "-+"))
+        lines[k] = json.dumps(entry)
+    text = "\n".join(lines)
+    parsed = CountsDataset.from_ndjson(text)
+    assert parsed.records == _records_read_one_by_one(text) == data.records
+    hists = {}
+    for rec in data.records:
+        hists.setdefault(rec.setting, np.zeros(5, dtype=np.int64))[rec.outcomes.count("+")] += rec.count
+    for got in (data.weight_counts(), parsed.weight_counts()):
+        assert [s for s, _ in got] == list(hists)
+        assert all(np.array_equal(h, hists[s]) for s, h in got)
+    assert data.total_shots() == parsed.total_shots() == 500 * schedule.num_settings
+    assert type(parsed.total_shots()) is int
+    assert parsed == data == CountsDataset(4, data.records)
+    changed = CountsDataset(4, data.records[:-1] + (CountRecord(
+        data.records[-1].setting, data.records[-1].outcomes, data.records[-1].count + 1),))
+    assert changed != data and data != data.records
+
+
 def test_evaluate_requires_matching_settings():
     schedule = single_term_schedule(2, (1, 0, 0))
     data = CountsDataset(2, (CountRecord(Setting.from_ints((0, 0, 1)), "++", 10),))
@@ -177,6 +245,34 @@ def test_simulate_accepts_density_matrices():
     data = simulate_counts(rho, schedule, shots_per_setting=50_000, seed=13)
     result = evaluate_counts(schedule, data, seed=13)
     assert abs(result.witness_value - oracle) < 4 * result.standard_error
+
+
+@pytest.mark.parametrize("name, noise", [
+    ("WP3_D42", "white"), ("WP3_D63", "white"), ("WP_D63", "nonwhite"), ("WP3_D84", "white"),
+])
+@pytest.mark.parametrize("p", [0.0, 0.15])
+def test_weighted_parts_sample_as_the_dense_state(name, noise, p):
+    w = catalog(name)
+    model = (NoiseModel.white(w.num_qubits) if noise == "white"
+             else NoiseModel.custom(nonwhite_noise_state(0.0)))
+    rho = DenseOperator((1 - p) * w.target.density().mat + p * model.rho_noise.mat)
+    schedule = compile_operator(w.dense)
+    for seed in (0, 1):
+        parts = simulate_counts([(1 - p, w.target), (p, model)], schedule, 100_000, seed=seed)
+        assert parts.to_ndjson() == simulate_counts(rho, schedule, 100_000, seed=seed).to_ndjson()
+
+
+def test_simulate_checks_mixture_weights_and_sizes():
+    schedule = single_term_schedule(2, (0, 0, 1))
+    bell = StateVector(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
+    with pytest.raises(ValueError, match="negative"):
+        simulate_counts([(1.2, bell), (-0.2, NoiseModel.white(2))], schedule, 10)
+    with pytest.raises(ValueError, match="sum to"):
+        simulate_counts([(0.5, bell), (0.2, NoiseModel.white(2))], schedule, 10)
+    with pytest.raises(ValueError, match="dimension"):
+        simulate_counts([(0.5, bell), (0.5, NoiseModel.white(3))], schedule, 10)
+    with pytest.raises(ValueError, match="Hermitian"):
+        simulate_counts([(0.5, bell), (0.5, DenseOperator(np.eye(4) / 2))], schedule, 10)
 
 
 def test_witness_wrapper_adds_fidelity_fields():

@@ -184,6 +184,24 @@ def test_pure_state_and_density_born_probabilities_agree(num_qubits, seed, v):
 
 
 @reproducible
+@given(st.integers(2, 6), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1), vectors)
+def test_weighted_parts_born_probabilities_match_the_dense_mixture(num_qubits, p, white, seed, v):
+    rng = np.random.default_rng(seed)
+    dim = 2**num_qubits
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    state = StateVector(amps / np.linalg.norm(amps))
+    if white:
+        noise = NoiseModel.white(num_qubits)
+    else:  # a random full-rank mixed state
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        noise = NoiseModel.custom(DenseOperator(g @ g.conj().T / np.trace(g @ g.conj().T).real))
+    setting, _ = Setting.parse(v)
+    dense = DenseOperator((1 - p) * state.density().mat + p * noise.rho_noise.mat)
+    parts = _born_probabilities([(1 - p, state), (p, noise)], setting, num_qubits)
+    assert np.max(np.abs(parts - _born_probabilities(dense, setting, num_qubits))) <= 1e-15
+
+
+@reproducible
 @given(
     st.lists(
         st.tuples(st.integers(0, 2), st.text(alphabet="+-", min_size=2, max_size=2),
