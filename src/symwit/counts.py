@@ -14,10 +14,8 @@ opposite sign are canonicalized on load and the outcome characters flipped,
 so files may use either sign convention.  Records are grouped by setting
 equality (the canonical key of :class:`~symwit.compiler.Setting`), so every
 spelling of one direction lands in the same group.  A :class:`CountsDataset`
-holds its rows as columns (setting, outcomes, count); its ``records`` are a
-view built on demand.  A noisy state is sampled from the weighted sum of its
-parts' Born distributions (pure target, white or custom noise), not as a
-dense ``rho(p)``.
+holds its rows as columns (setting, outcomes, count), with ``records`` a view.
+A noisy state is sampled from the weighted sum of its parts' Born distributions.
 
 A schedule term ``coefficient * (scale * (n . sigma) + w * 1)^{(x) N}`` has
 the unbiased single-shot estimator ``coefficient * prod_k (w + scale * o_k)``
@@ -76,7 +74,6 @@ def _check_row(outcomes: str, count: int, width: int | None = None) -> None:
 
 
 _FLIP = str.maketrans("+-", "-+")
-_DECODER = json.JSONDecoder()
 
 
 def _line_prefix(setting: Setting) -> str:
@@ -92,11 +89,10 @@ def _json_line(prefix: str, outcomes: str, count: int) -> str:  # prefix: _line_
 class CountsDataset:
     """Count records over a fixed qubit number, held as three columns.
 
-    ``columns`` holds, per row, a reference to its setting (parsed and
-    simulated rows of one setting share the object), its outcome string and
-    its int count.  ``records`` is a view of the rows as :class:`CountRecord`
-    objects, built on first use; datasets are equal when their qubit numbers
-    and rows are.
+    ``columns`` holds, per row, its setting (rows of one parsed or simulated
+    setting share the object), outcome string and int count.  ``records`` is a
+    view of the rows as :class:`CountRecord` objects, built on first use.
+    Datasets are equal, and hash alike, when their qubit numbers and rows are.
     """
 
     def __init__(self, num_qubits: int, records) -> None:
@@ -125,6 +121,12 @@ class CountsDataset:
             return NotImplemented
         return (self.num_qubits, self.columns) == (other.num_qubits, other.columns)
 
+    def __hash__(self) -> int:
+        return hash((self.num_qubits, self.columns))
+
+    def __repr__(self) -> str:
+        return f"CountsDataset(num_qubits={self.num_qubits}, rows={len(self.columns[2])})"
+
     def weight_counts(self) -> list[tuple[Setting, np.ndarray]]:
         """Shots per distinct setting binned by their number of ``+`` outcomes.
 
@@ -133,11 +135,8 @@ class CountsDataset:
         order defines the bootstrap task index.
         """
         hists: dict[Setting, list[int]] = {}
-        by_ref: dict[int, list[int]] = {}  # id(setting) -> hist: skips hashing each row's setting
         for setting, outcomes, count in zip(*self.columns):
-            hist = by_ref.get(id(setting))
-            if hist is None:
-                hist = by_ref[id(setting)] = hists.setdefault(setting, [0] * (self.num_qubits + 1))
+            hist = hists.setdefault(setting, [0] * (self.num_qubits + 1))
             hist[outcomes.count("+")] += count
         return [(setting, np.array(hist, dtype=np.int64)) for setting, hist in hists.items()]
 
@@ -161,9 +160,7 @@ class CountsDataset:
             if not line:
                 continue
             try:
-                entry, end = _DECODER.raw_decode(line)  # json.loads less its whitespace scans
-                if end != len(line):
-                    json.loads(line)  # raises json's "Extra data" error
+                entry = json.loads(line)
                 key = repr(entry["setting"])
                 if key not in parsed:
                     parsed[key] = Setting.parse(entry["setting"], keep_unit=True)
@@ -237,32 +234,50 @@ def _rotate(out: np.ndarray, frame_dag: np.ndarray, num_qubits: int) -> np.ndarr
     return out.reshape(shape)
 
 
-def _parts(state) -> list[tuple[float, StateVector | DenseOperator | NoiseModel]]:
-    """``state`` as ``(weight, part)`` pairs, with custom noise as its density matrix."""
+def _mixture(state, num_qubits: int) -> tuple[float, list, np.ndarray | None]:
+    """``state`` checked, as (white-noise weight, weighted vectors, density-matrix sum or None).
+
+    Once a part is a density matrix (a :class:`DenseOperator` or custom noise), the
+    pure parts are added into it, so the draws are bit for bit those of that sum.
+    """
     pairs = [(1.0, state)] if isinstance(state, (StateVector, DenseOperator, NoiseModel)) else state
-    return [(float(weight), part.rho_noise if isinstance(part, NoiseModel)
-             and part.kind == "custom" else part) for weight, part in pairs]
+    white, parts = 0.0, []
+    for weight, part in pairs:
+        rho = part.rho_noise if isinstance(part, NoiseModel) else part
+        if rho.num_qubits != num_qubits:
+            raise ValueError("state dimension does not match the schedule")
+        if weight < 0:
+            raise ValueError(f"mixture weight {weight!r} is negative")
+        if isinstance(part, DenseOperator) and (
+                not part.is_hermitian(1e-10) or abs(part.trace() - 1.0) > 1e-9):
+            raise ValueError("density matrix input must be Hermitian with unit trace")
+        if isinstance(part, NoiseModel) and part.kind == "white":
+            white += float(weight)  # 1/2^N on every outcome: rho_noise is not read
+        else:
+            parts.append((float(weight), rho))
+    if all(isinstance(rho, StateVector) for _, rho in parts):
+        return white, [(w, rho.vec) for w, rho in parts], None
+    terms = [w * (rho.mat if isinstance(rho, DenseOperator) else rho.density().mat)
+             for w, rho in parts]
+    return white, [], sum(terms[1:], terms[0])
 
 
-def _born_probabilities(state, setting: Setting, num_qubits: int) -> np.ndarray:
+def _born_probabilities(mixture, setting: Setting, num_qubits: int) -> np.ndarray:
     """Outcome distribution when every qubit measures ``setting``, ``U = frame^{(x)N}``.
 
-    ``state`` is one part or a list of ``(weight, part)`` pairs, and its
-    distribution is the weighted sum of the parts': ``|U^dag psi|^2`` for a
-    :class:`StateVector`, ``diag(U^dag rho U)`` for a density matrix (a
-    :class:`DenseOperator` or custom noise) and ``1/2^N`` for white noise.
+    The weighted sum of the parts' distributions of a :func:`_mixture`:
+    ``1/2^N`` for white noise, ``|U^dag psi|^2`` for a pure part and
+    ``diag(U^dag rho U)`` for the density-matrix sum.
     """
+    white, vectors, rho = mixture
     frame_dag = _measurement_frame(setting).conj().T
-    probs = np.zeros(2**num_qubits)
-    for weight, part in _parts(state):
-        if isinstance(part, NoiseModel):  # white
-            probs += weight / 2**num_qubits
-        elif isinstance(part, StateVector):
-            probs += weight * np.abs(_rotate(part.vec, frame_dag, num_qubits)) ** 2
-        else:
-            # U^dag rho U is U^dag applied to the rows of (U^dag rho)^dag = rho U
-            half = _rotate(part.mat, frame_dag, num_qubits)
-            probs += weight * np.real(np.diagonal(_rotate(half.conj().T, frame_dag, num_qubits)))
+    probs = np.full(2**num_qubits, white / 2**num_qubits)
+    for weight, vec in vectors:
+        probs += weight * np.abs(_rotate(vec, frame_dag, num_qubits)) ** 2
+    if rho is not None:
+        # U^dag rho U is U^dag applied to the rows of (U^dag rho)^dag = rho U
+        half = _rotate(rho, frame_dag, num_qubits)
+        probs += np.real(np.diagonal(_rotate(half.conj().T, frame_dag, num_qubits)))
     # rotation rounding is ~1e-16: zero it, so that a seeded draw does not hinge on last bits
     probs = np.where(probs < 1e-14, 0.0, probs)
     total = float(probs.sum())
@@ -287,29 +302,13 @@ def simulate_counts(
     ``seed + i``, so tasks may be reproduced in isolation.
     """
     n = schedule.num_qubits
-    parts = _parts(state)
-    for weight, part in parts:
-        if (part.rho_noise if isinstance(part, NoiseModel) else part).num_qubits != n:
-            raise ValueError("state dimension does not match the schedule")
-        if weight < 0:
-            raise ValueError(f"mixture weight {weight!r} is negative")
-        if isinstance(part, DenseOperator) and (
-                not part.is_hermitian(1e-10) or abs(part.trace() - 1.0) > 1e-9):
-            raise ValueError("density matrix input must be Hermitian with unit trace")
+    mixture = _mixture(state, n)
     if shots_per_setting <= 0:
         raise ValueError("shots_per_setting must be positive")
-    # a density-matrix part costs a dense rotation anyway: add the parts but white noise
-    # into it, so the draws are bit for bit those of that dense state passed whole
-    mixed = [(w, part) for w, part in parts if not isinstance(part, NoiseModel)]
-    if len(mixed) > 1 and any(isinstance(part, DenseOperator) for _, part in mixed):
-        terms = [w * (part.mat if isinstance(part, DenseOperator) else part.density().mat)
-                 for w, part in mixed]
-        parts = [pair for pair in parts if isinstance(pair[1], NoiseModel)] + [
-            (1.0, DenseOperator(sum(terms[1:], terms[0])))]
     columns = ([], [], [])  # settings, outcomes, counts
     patterns = tuple(map("".join, itertools.product("+-", repeat=n)))  # "+" for a 0 bit
     for index, setting in enumerate(schedule.settings):
-        probs = _born_probabilities(parts, setting, n)
+        probs = _born_probabilities(mixture, setting, n)
         draws = np.random.default_rng(seed + index).multinomial(shots_per_setting, probs)
         hit = np.flatnonzero(draws)
         columns[0].extend([setting] * len(hit))

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from symwit.compiler import (LocalTerm, Schedule, Setting, _canonical_term, compile_operator,
                              pauli_decompose)
-from symwit.counts import CountRecord, CountsDataset, _born_probabilities, evaluate_counts
+from symwit.counts import (CountRecord, CountsDataset, _born_probabilities, _mixture,
+                           evaluate_counts)
 from symwit.linalg import DenseOperator, StateVector, identity, op_power
 from symwit.optimize import (
     PptProblem,
@@ -178,8 +179,8 @@ def test_pure_state_and_density_born_probabilities_agree(num_qubits, seed, v):
     amps = rng.standard_normal(2**num_qubits) + 1j * rng.standard_normal(2**num_qubits)
     state = StateVector(amps / np.linalg.norm(amps))
     setting, _ = Setting.parse(v)
-    pure = _born_probabilities(state, setting, num_qubits)
-    mixed = _born_probabilities(state.density(), setting, num_qubits)
+    pure = _born_probabilities(_mixture(state, num_qubits), setting, num_qubits)
+    mixed = _born_probabilities(_mixture(state.density(), num_qubits), setting, num_qubits)
     assert np.max(np.abs(pure - mixed)) <= 1e-12
 
 
@@ -197,8 +198,10 @@ def test_weighted_parts_born_probabilities_match_the_dense_mixture(num_qubits, p
         noise = NoiseModel.custom(DenseOperator(g @ g.conj().T / np.trace(g @ g.conj().T).real))
     setting, _ = Setting.parse(v)
     dense = DenseOperator((1 - p) * state.density().mat + p * noise.rho_noise.mat)
-    parts = _born_probabilities([(1 - p, state), (p, noise)], setting, num_qubits)
-    assert np.max(np.abs(parts - _born_probabilities(dense, setting, num_qubits))) <= 1e-15
+    mixture = _mixture([(1 - p, state), (p, noise)], num_qubits)
+    parts = _born_probabilities(mixture, setting, num_qubits)
+    whole = _born_probabilities(_mixture(dense, num_qubits), setting, num_qubits)
+    assert np.max(np.abs(parts - whole)) <= 1e-15
 
 
 @reproducible
